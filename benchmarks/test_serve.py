@@ -57,34 +57,29 @@ def test_serve_deterministic_at_scale(benchmark):
 
 
 def test_batched_engine_at_scale(benchmark):
-    """The batched hot path reproduces the per-request report at scale.
+    """The engine reproduces the reference model's report at scale.
 
-    Times the batched engine on a large replay (the number this PR's
-    docs quote), then replays the same stream through the original
-    per-request event loop and asserts the two reports are
-    byte-identical — the determinism contract of docs/SCALING.md.
+    Times the engine on a large replay (the number docs/SCALING.md
+    quotes), then replays the same stream through the discrete-event
+    reference model (``tests/serve_reference.py``) and asserts the two
+    reports are byte-identical — the determinism contract of
+    docs/SCALING.md.
     """
     from repro.core import solve_approximation
-    from repro.serve import (
-        ENGINE_PER_REQUEST,
-        ServeConfig,
-        ZipfWorkload,
-        serve_placement,
-    )
+    from repro.serve import ServeConfig, ZipfWorkload, serve_placement
     from repro.workloads import grid_problem
+    from tests.serve_reference import reference_serve
 
     requests = 200_000 if full_mode() else 10_000
     placement = solve_approximation(grid_problem(6))
     workload = ZipfWorkload(seed=2017)
+    config = ServeConfig(failure_rate=0.2)
 
     batched = benchmark.pedantic(
         serve_placement, args=(placement, workload, requests),
-        kwargs={"config": ServeConfig(failure_rate=0.2)},
+        kwargs={"config": config},
         rounds=1, iterations=1,
     )
-    per_request = serve_placement(
-        placement, workload, requests,
-        config=ServeConfig(failure_rate=0.2, engine=ENGINE_PER_REQUEST),
-    )
-    assert batched.to_json() == per_request.to_json()
+    reference = reference_serve(placement, workload, requests, config=config)
+    assert batched.to_json() == reference.to_json()
     assert batched.completed == requests

@@ -2,7 +2,7 @@
 
 The one-shot pipeline (Algorithm 1 → serve) assumes the demand a
 placement was optimized for never changes.  This package closes the
-loop: the serve engines export per-``(client, chunk)`` demand, an EWMA
+loop: the serve engine exports per-``(client, chunk)`` demand, an EWMA
 estimator tracks the live request distribution, and an epoch-based
 controller re-optimizes the placement when the two diverge — bounded
 never-worsen local moves for moderate drift, scoped Algorithm-1

@@ -60,11 +60,7 @@ from repro.errors import InvariantError, ProblemError
 from repro.obs import get_recorder, get_tracer
 from repro.online.controller import reoptimize_chunk
 from repro.online.replacement import REPLACEMENT_POLICIES
-from repro.serve.engine import (
-    ServeConfig,
-    ServeEngine,
-    _sanitize_serve_equivalence,
-)
+from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.stats import ServeReport
 from repro.serve.workloads import Workload
 from repro.adaptive.moves import (
@@ -435,12 +431,6 @@ class AdaptiveController:
             config=serve_config,
         )
         report = engine.run()
-        # Same REPRO_SANITIZE cross-check serve_placement() runs: the
-        # batched epoch replay must match the per-request reference.
-        _sanitize_serve_equivalence(
-            report, placement, self.workload, config.epoch_requests,
-            config.selection_policy, serve_config,
-        )
         return report, engine.demand_counts()
 
     def _apply_churn(

@@ -1,8 +1,8 @@
 """Demand signals: turn served-request tallies into drift estimates.
 
-The serve engines export raw per-``(client, chunk)`` request counts
-(:meth:`repro.serve.engine.ServeEngine.demand_counts` — identical from
-both replay paths, the signal layer's determinism contract).  This
+The serve engine exports raw per-``(client, chunk)`` request counts
+(:meth:`repro.serve.engine.ServeEngine.demand_counts` — a pure function
+of the stream window, the signal layer's determinism contract).  This
 module smooths those counts into an estimate of the *joint request
 distribution* and measures how far it has drifted from the distribution
 a placement was optimized for:

@@ -20,12 +20,14 @@ Three coordinated passes keep the architecture documented in
   ``Pool`` workers.
 * :mod:`repro.analysis.contracts` — toggleable runtime assertions
   (``REPRO_SANITIZE=1``) wired into the dual ascent, the shared commit
-  path, the distributed protocol, and the batched-vs-per-request serve
-  equivalence cross-check.
+  path, the incremental cost rows, the distributed protocol, and the
+  adaptive control plane's local moves.
 
 The static passes run via ``repro lint`` (a blocking CI gate); the
 runtime contracts are enabled for the whole test suite by
-``tests/conftest.py``.
+``tests/conftest.py``, which also byte-compares every small serve
+replay against the event-loop reference model in
+``tests/serve_reference.py``.
 
 This package sits at the bottom of the layering (stdlib +
 :mod:`repro.errors` only) so :mod:`repro.core` can import the contracts

@@ -399,48 +399,6 @@ def check_message_census(
 
 
 # ----------------------------------------------------------------------
-# Serve engine (request plane): batched vs per-request byte-equality
-# ----------------------------------------------------------------------
-#: Replays at or below this size get a shadow per-request replay when
-#: the sanitizer is on; above it the check would dominate the run.
-SERVE_EQUIVALENCE_MAX_REQUESTS = 2048
-
-
-def check_serve_equivalence(
-    *,
-    batched_json: str,
-    reference_json: str,
-    context: str,
-) -> None:
-    """Assert the batched serve report is byte-equal to the reference.
-
-    The request plane's core promise (docs/SCALING.md): the batched
-    engine is an execution strategy, not a different simulation, so its
-    ``ServeReport`` must serialize to the exact bytes the per-request
-    engine produces.  Both sides arrive pre-serialized so this module
-    needs no knowledge of the report type.
-    """
-    rule = "serve-equivalence"
-    if batched_json == reference_json:
-        return
-    for index, (left, right) in enumerate(
-        zip(batched_json.splitlines(), reference_json.splitlines())
-    ):
-        if left != right:
-            _fail(
-                rule,
-                f"{context}: batched report diverges from the per-request "
-                f"reference at JSON line {index + 1}: "
-                f"batched={left.strip()!r} reference={right.strip()!r}",
-            )
-    _fail(
-        rule,
-        f"{context}: batched report length {len(batched_json)} != "
-        f"per-request reference length {len(reference_json)}",
-    )
-
-
-# ----------------------------------------------------------------------
 # Adaptive control plane: local moves must never worsen total cost
 # ----------------------------------------------------------------------
 def check_adaptive_move(
@@ -497,13 +455,11 @@ def check_adaptive_move(
 
 __all__ = [
     "ENV_VAR",
-    "SERVE_EQUIVALENCE_MAX_REQUESTS",
     "check_adaptive_move",
     "check_chunk_commit",
     "check_dual_solution",
     "check_incremental_cost_rows",
     "check_message_census",
-    "check_serve_equivalence",
     "check_storage_monotonic",
     "sanitize_enabled",
 ]

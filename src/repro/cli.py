@@ -39,7 +39,6 @@ Serve a request workload against a solved placement (accessing phase)::
     repro serve --grid 6 --requests 10000 --workload zipf
     repro serve --nodes 100 --requests 1000000 --workload zipf --seed 2017
     repro serve --grid 6 --requests 5000 --policy p2c --failure-rate 0.2
-    repro serve --grid 6 --requests 100000 --engine per-request
 
 Fan a workload x policy x topology x seed grid across worker processes
 and write the merged repro-sweep/1 artifact::
@@ -74,6 +73,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence, Tuple
 
+from repro.errors import ProblemError
 from repro.experiments import REGISTRY, run_algorithms, summarize
 from repro.experiments.report import render_table
 from repro.workloads import grid_problem, random_problem
@@ -278,11 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0; the producer never dies)",
     )
     serve.add_argument(
-        "--engine", default="batched", choices=["batched", "per-request"],
-        help="replay engine: 'batched' (default; same report, much "
-        "faster) or the original 'per-request' event loop",
-    )
-    serve.add_argument(
         "--json", action="store_true",
         help="print the ServeReport as JSON instead of a table",
     )
@@ -305,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--epoch-requests", type=int, default=None, metavar="N",
-        help="requests per epoch with --adaptive "
-        "(default: --requests / --epochs)",
+        help="requests per epoch with --adaptive (default: --requests "
+        "// --epochs; the --requests %% --epochs remainder is not "
+        "replayed)",
     )
     _add_series_flags(serve, "solve + replay")
 
@@ -393,10 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rate, one shift per epoch)",
     )
     adapt.add_argument(
-        "--engine", default="batched", choices=["batched", "per-request"],
-        help="replay engine for every epoch (default batched)",
-    )
-    adapt.add_argument(
         "--failure-rate", type=float, default=0.0, metavar="P",
         help="probability each cache node is dead during replays "
         "(default 0)",
@@ -458,10 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--chunks", type=int, default=5)
     sweep.add_argument("--capacity", type=int, default=5)
-    sweep.add_argument(
-        "--engine", default="batched", choices=["batched", "per-request"],
-        help="replay engine for every cell (default batched)",
-    )
     sweep.add_argument(
         "--adaptive", default="off", metavar="A,B",
         help="comma-separated adaptive axis: off and/or adaptive control "
@@ -835,9 +823,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workload = workload_cls(seed=args.seed, rate=args.rate)
     else:
         workload = workload_cls(seed=args.seed)
-    config = ServeConfig(
-        failure_rate=args.failure_rate, seed=args.seed, engine=args.engine
-    )
+    config = ServeConfig(failure_rate=args.failure_rate, seed=args.seed)
     name = _ALGO_ALIASES.get(args.algorithm, args.algorithm)
     if args.adaptive is not None:
         return _serve_adaptive(args, problem, workload, config, label, name)
@@ -866,7 +852,6 @@ def _serve_adaptive(
 ) -> int:
     """``repro serve --adaptive``: the closed loop instead of one replay."""
     from repro.adaptive import ADAPTIVE_POLICIES, AdaptiveConfig, run_adaptive
-    from repro.errors import ProblemError
 
     if algorithm != "Appx":
         print("--adaptive re-solves with Algorithm 1; it requires "
@@ -879,20 +864,22 @@ def _serve_adaptive(
     epoch_requests = args.epoch_requests
     if epoch_requests is None:
         epoch_requests = args.requests // max(args.epochs, 1)
-    try:
-        adaptive_config = AdaptiveConfig(
-            epochs=args.epochs,
-            epoch_requests=epoch_requests,
-            policy=args.adaptive,
-            selection_policy=args.policy,
-            serve=config,
-        )
-        with _maybe_series(args) as series_rec, \
-                _maybe_trace(args.trace) as tracer:
-            report = run_adaptive(problem, workload, adaptive_config)
-    except ProblemError as exc:
-        print(f"serve --adaptive: {exc}", file=sys.stderr)
-        return 2
+        if epoch_requests < 1:
+            raise ProblemError(
+                f"--adaptive needs --requests >= --epochs to serve at "
+                f"least one request per epoch, got {args.requests} "
+                f"requests for {args.epochs} epochs"
+            )
+    adaptive_config = AdaptiveConfig(
+        epochs=args.epochs,
+        epoch_requests=epoch_requests,
+        policy=args.adaptive,
+        selection_policy=args.policy,
+        serve=config,
+    )
+    with _maybe_series(args) as series_rec, \
+            _maybe_trace(args.trace) as tracer:
+        report = run_adaptive(problem, workload, adaptive_config)
     _write_trace(tracer, args.trace)
     _write_series(series_rec, args)
     if args.json:
@@ -909,7 +896,6 @@ def _serve_adaptive(
 def _cmd_adapt(args: argparse.Namespace) -> int:
     """``repro adapt``: the full-control closed loop with every knob."""
     from repro.adaptive import ADAPTIVE_POLICIES, AdaptiveConfig, run_adaptive
-    from repro.errors import ProblemError
     from repro.serve import SELECTION_POLICIES, WORKLOADS, ServeConfig
 
     workload_cls = WORKLOADS.get(args.workload)
@@ -925,6 +911,10 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         print(f"unknown adaptive policy {args.adaptive_policy!r}; "
               f"choose from {sorted(ADAPTIVE_POLICIES)}", file=sys.stderr)
         return 2
+    if args.epoch_requests < 1:
+        raise ProblemError(
+            f"--epoch-requests must be >= 1, got {args.epoch_requests}"
+        )
     if args.grid is not None:
         problem = grid_problem(
             args.grid, num_chunks=args.chunks, capacity=args.capacity
@@ -973,30 +963,23 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
 
-    try:
-        config = AdaptiveConfig(
-            epochs=args.epochs,
-            epoch_requests=args.epoch_requests,
-            policy=args.adaptive_policy,
-            warmup_epochs=args.warmup,
-            ewma_alpha=args.alpha,
-            dirty_threshold=args.dirty_threshold,
-            resolve_threshold=args.resolve_threshold,
-            max_moves_per_epoch=args.max_moves,
-            selection_policy=args.policy,
-            serve=ServeConfig(
-                failure_rate=args.failure_rate, seed=args.seed,
-                engine=args.engine,
-            ),
-            replacement=args.replacement,
-            churn_schedule=tuple(churn),
-        )
-        with _maybe_series(args) as series_rec, \
-                _maybe_trace(args.trace) as tracer:
-            report = run_adaptive(problem, workload, config)
-    except ProblemError as exc:
-        print(f"adapt: {exc}", file=sys.stderr)
-        return 2
+    config = AdaptiveConfig(
+        epochs=args.epochs,
+        epoch_requests=args.epoch_requests,
+        policy=args.adaptive_policy,
+        warmup_epochs=args.warmup,
+        ewma_alpha=args.alpha,
+        dirty_threshold=args.dirty_threshold,
+        resolve_threshold=args.resolve_threshold,
+        max_moves_per_epoch=args.max_moves,
+        selection_policy=args.policy,
+        serve=ServeConfig(failure_rate=args.failure_rate, seed=args.seed),
+        replacement=args.replacement,
+        churn_schedule=tuple(churn),
+    )
+    with _maybe_series(args) as series_rec, \
+            _maybe_trace(args.trace) as tracer:
+        report = run_adaptive(problem, workload, config)
     _write_trace(tracer, args.trace)
     _write_series(series_rec, args)
     if args.output is not None:
@@ -1019,7 +1002,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # Imported lazily: sweep pulls in serve plus the solver layers.
-    from repro.errors import ProblemError
     from repro.sweep import (
         SweepGrid,
         render_sweep,
@@ -1038,26 +1020,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{args.seeds!r}", file=sys.stderr)
         return 2
     algorithm = _ALGO_ALIASES.get(args.algorithm, args.algorithm)
-    try:
-        grid = SweepGrid(
-            topologies=tuple(args.topology or ("grid:6",)),
-            workloads=_split(args.workloads),
-            policies=_split(args.policies),
-            seeds=seeds,
-            adaptive=_split(args.adaptive),
-            epochs=args.epochs,
-            algorithm=algorithm,
-            requests=args.requests,
-            rate=args.rate,
-            failure_rate=args.failure_rate,
-            chunks=args.chunks,
-            capacity=args.capacity,
-            engine=args.engine,
-        )
-        workers = resolve_workers(args.workers, len(grid.cells()))
-    except ProblemError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
+    grid = SweepGrid(
+        topologies=tuple(args.topology or ("grid:6",)),
+        workloads=_split(args.workloads),
+        policies=_split(args.policies),
+        seeds=seeds,
+        adaptive=_split(args.adaptive),
+        epochs=args.epochs,
+        algorithm=algorithm,
+        requests=args.requests,
+        rate=args.rate,
+        failure_rate=args.failure_rate,
+        chunks=args.chunks,
+        capacity=args.capacity,
+    )
+    workers = resolve_workers(args.workers, len(grid.cells()))
     with _maybe_series(args) as series_rec, \
             _maybe_trace(args.trace) as tracer:
         document = run_sweep(grid, workers=workers)
@@ -1195,20 +1172,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import run_lint
     from repro.analysis.linter import FAMILIES
     from repro.analysis.typecheck import run_typecheck
-    from repro.errors import ProblemError
 
-    try:
-        families, run_mypy = _parse_lint_types(args.types, FAMILIES)
-        report = run_lint(
-            package_dir=Path(args.package) if args.package else None,
-            spec_path=Path(args.spec) if args.spec else None,
-            families=families,
-            det_spec_path=Path(args.det_spec) if args.det_spec else None,
-        )
-        rendered = report.render(args.fmt)
-    except ProblemError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
+    families, run_mypy = _parse_lint_types(args.types, FAMILIES)
+    report = run_lint(
+        package_dir=Path(args.package) if args.package else None,
+        spec_path=Path(args.spec) if args.spec else None,
+        families=families,
+        det_spec_path=Path(args.det_spec) if args.det_spec else None,
+    )
+    rendered = report.render(args.fmt)
     if args.output:
         Path(args.output).write_text(rendered, encoding="utf-8")
     print(rendered.rstrip("\n"))
@@ -1231,8 +1203,6 @@ def _parse_lint_types(
     bare ``--types`` resolves to ``all,mypy`` for backward
     compatibility with the original boolean flag.
     """
-    from repro.errors import ProblemError
-
     if value is None:
         return list(known_families), False
     families: List[str] = []
@@ -1258,8 +1228,23 @@ def _parse_lint_types(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; exit 2 with a one-line message on bad input.
+
+    Every input error the library can detect (a negative rate, a 0x0
+    grid, an unknown lint family ...) raises :class:`ProblemError`;
+    it is reported here as ``repro <command>: <message>`` on stderr,
+    never as a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(parser, args)
+    except ProblemError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "experiment":
         return _cmd_experiment(args)
     if args.command == "solve":

@@ -65,6 +65,12 @@ class ProblemError(ReproError):
     """Raised for invalid caching-problem definitions."""
 
 
+class ParameterError(ProblemError, ValueError):
+    """Raised for an out-of-range size or count handed to a generator
+    (a 0x0 grid, a one-node random network).  Also a :class:`ValueError`,
+    so callers that catch bad arguments generically keep working."""
+
+
 class CapacityError(ProblemError):
     """Raised when cache placement exceeds a node's storage capacity."""
 

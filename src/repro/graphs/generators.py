@@ -20,7 +20,7 @@ import math
 import random
 from typing import List, Optional, Tuple
 
-from repro.errors import GraphError
+from repro.errors import GraphError, ParameterError
 from repro.graphs.components import connected_components, is_connected
 from repro.graphs.graph import Graph
 
@@ -38,7 +38,7 @@ def grid_graph(rows: int, cols: Optional[int] = None) -> Graph:
     if cols is None:
         cols = rows
     if rows < 1 or cols < 1:
-        raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
+        raise ParameterError(f"grid dimensions must be positive, got {rows}x{cols}")
     graph = Graph()
     for r in range(rows):
         for c in range(cols):
@@ -88,9 +88,9 @@ def random_geometric_graph(
         The graph and a ``node -> (x, y)`` position map.
     """
     if num_nodes < 1:
-        raise ValueError(f"num_nodes must be positive, got {num_nodes}")
+        raise ParameterError(f"num_nodes must be positive, got {num_nodes}")
     if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+        raise ParameterError(f"radius must be positive, got {radius}")
     rng = random.Random(seed)
     for _ in range(max_attempts):
         positions = {
@@ -116,7 +116,7 @@ def connected_random_network(
     random-network experiments (Figs. 4, 7b) use for 20–180 node sweeps.
     """
     if num_nodes < 2:
-        raise ValueError(f"need at least 2 nodes, got {num_nodes}")
+        raise ParameterError(f"need at least 2 nodes, got {num_nodes}")
     # Expected degree in a unit square is ~ n * pi * r^2; solve for r.
     radius = math.sqrt(degree_target / (num_nodes * math.pi))
     rng_seed = seed
@@ -134,7 +134,7 @@ def connected_random_network(
 def path_graph(num_nodes: int) -> Graph:
     """A simple path ``0 - 1 - ... - (n-1)``."""
     if num_nodes < 1:
-        raise ValueError("num_nodes must be positive")
+        raise ParameterError("num_nodes must be positive")
     graph = Graph()
     graph.add_node(0)
     for i in range(num_nodes - 1):
@@ -145,7 +145,7 @@ def path_graph(num_nodes: int) -> Graph:
 def cycle_graph(num_nodes: int) -> Graph:
     """A ring of ``num_nodes`` nodes (needs at least 3)."""
     if num_nodes < 3:
-        raise ValueError("a cycle needs at least 3 nodes")
+        raise ParameterError("a cycle needs at least 3 nodes")
     graph = path_graph(num_nodes)
     graph.add_edge(num_nodes - 1, 0)
     return graph
@@ -154,7 +154,7 @@ def cycle_graph(num_nodes: int) -> Graph:
 def star_graph(num_leaves: int) -> Graph:
     """A star: hub ``0`` connected to leaves ``1..num_leaves``."""
     if num_leaves < 1:
-        raise ValueError("a star needs at least one leaf")
+        raise ParameterError("a star needs at least one leaf")
     graph = Graph()
     for leaf in range(1, num_leaves + 1):
         graph.add_edge(0, leaf)
@@ -164,7 +164,7 @@ def star_graph(num_leaves: int) -> Graph:
 def complete_graph(num_nodes: int) -> Graph:
     """The complete graph on ``num_nodes`` nodes."""
     if num_nodes < 1:
-        raise ValueError("num_nodes must be positive")
+        raise ParameterError("num_nodes must be positive")
     graph = Graph()
     graph.add_node(0)
     for i in range(num_nodes):
@@ -176,7 +176,7 @@ def complete_graph(num_nodes: int) -> Graph:
 def balanced_tree(branching: int, depth: int) -> Graph:
     """A rooted balanced tree with the given branching factor and depth."""
     if branching < 1 or depth < 0:
-        raise ValueError("branching must be >= 1 and depth >= 0")
+        raise ParameterError("branching must be >= 1 and depth >= 0")
     graph = Graph()
     graph.add_node(0)
     frontier: List[int] = [0]
@@ -202,9 +202,9 @@ def erdos_renyi_connected(
     that need arbitrary connected topologies.
     """
     if num_nodes < 1:
-        raise ValueError("num_nodes must be positive")
+        raise ParameterError("num_nodes must be positive")
     if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError("edge_prob must be in [0, 1]")
+        raise ParameterError("edge_prob must be in [0, 1]")
     rng = random.Random(seed)
     graph = Graph()
     graph.add_nodes(range(num_nodes))

@@ -2,7 +2,7 @@
 
 The paper prices the accessing phase as a one-shot cost sum; this
 package *serves* it: seeded workload generators
-(:mod:`repro.serve.workloads`) replayed on the discrete-event simulator
+(:mod:`repro.serve.workloads`) replayed through per-cache FIFO queues
 against any placement (:mod:`repro.serve.engine`), with pluggable
 replica selection (:mod:`repro.serve.selection`) and a deterministic
 :class:`~repro.serve.stats.ServeReport` of throughput, tail latency, and
@@ -21,9 +21,6 @@ Quickstart::
 
 from repro.serve.engine import (
     DEFAULT_ENGINE_SEED,
-    ENGINE_BATCHED,
-    ENGINE_PER_REQUEST,
-    ENGINES,
     ServeConfig,
     ServeEngine,
     serve_placement,
@@ -45,7 +42,6 @@ from repro.serve.workloads import (
     WORKLOADS,
     FlashCrowdWorkload,
     HotspotWorkload,
-    Request,
     RequestBatch,
     UniformWorkload,
     Workload,
@@ -57,9 +53,6 @@ __all__ = [
     "DEFAULT_ENGINE_SEED",
     "DEFAULT_RATE",
     "DEFAULT_SEED",
-    "ENGINE_BATCHED",
-    "ENGINE_PER_REQUEST",
-    "ENGINES",
     "SELECTION_POLICIES",
     "SERVE_SCHEMA",
     "WORKLOADS",
@@ -69,7 +62,6 @@ __all__ = [
     "LeastLoaded",
     "PowerOfTwoChoices",
     "ReplicaSelector",
-    "Request",
     "RequestBatch",
     "ServeConfig",
     "ServeEngine",

@@ -25,66 +25,51 @@ a static cost summation to a served system.  A
   total latency exceeded ``timeout`` are all accounted in the
   :class:`~repro.serve.stats.ServeReport`.
 
-Two replay paths produce byte-identical reports (the equivalence tests
-assert it per workload × policy):
-
-* ``engine="per-request"`` — the reference path: one
-  :class:`~repro.distributed.simulator.Simulator` event per arrival and
-  per completion, one Python callback each.  Transparent, traceable,
-  and ~10x too slow past a few hundred thousand requests.
-* ``engine="batched"`` (the default) — the hot path: requests are
-  generated in struct-of-arrays batches
-  (:meth:`~repro.serve.workloads.Workload.stream_batches`), each
-  ``(client, chunk)`` pair is resolved to its server once per replay
-  when the policy is load-independent, and per-cache FIFO queues
-  collapse to a dict of queue-free times drained through a single heap
-  of completion times.  One process sustains well over a million
-  requests; ``docs/SCALING.md`` documents the design and the measured
-  throughput.
+The replay is built for throughput: requests arrive in struct-of-arrays
+batches (:meth:`~repro.serve.workloads.Workload.stream_batches`), each
+``(client, chunk)`` pair is resolved to its server once per replay when
+the policy is load-independent, and per-cache FIFO queues collapse to a
+dict of queue-free times drained through a single heap of completion
+times.  One process sustains well over a million requests;
+``docs/SCALING.md`` documents the design and the measured throughput.
+The test suite keeps a discrete-event reference model of the same
+semantics (one simulator event per arrival and per completion, explicit
+FIFO deques) and asserts byte-identical reports against it.
 
 Determinism: the workload stream, the failure coin, and any randomized
-policy all draw from seeded RNGs, and completions are processed in
-simulated-time order on both paths — two replays of one configuration
-produce byte-identical report JSON, whichever path ran.
+policy all draw from seeded RNGs, and completions are accounted in
+simulated-time order — two replays of one configuration produce
+byte-identical report JSON.
 
 Observability: counters ``serve.requests`` / ``serve.failovers`` /
-``serve.timeouts`` (bulk-incremented on the batched path, identical
-totals), batched-path counters ``serve.batch.batches`` /
-``serve.batch.requests`` / ``serve.batch.table_entries`` and gauge
-``serve.batch.heap_peak``, gauge ``serve.queue_depth`` (per-request path
-only), and trace events ``serve.session`` (span) / ``serve.request``
-(one instant per completed request, both paths) on the ``serve`` track —
-all zero-cost when no recorder or tracer is installed.
+``serve.timeouts`` (bulk-incremented once per replay),
+``serve.batch.batches`` / ``serve.batch.requests`` /
+``serve.batch.table_entries`` and gauge ``serve.batch.heap_peak``, and
+trace events ``serve.session`` (span) / ``serve.batch`` (one instant
+per batch) / ``serve.request`` (one instant per completed request) on
+the ``serve`` track — all zero-cost when no recorder or tracer is
+installed.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.core.costs import CostModel
 from repro.core.placement import CachePlacement
 from repro.delay.dcf import DcfParameters, path_delay
-from repro.distributed.simulator import Simulator
 from repro.errors import ProblemError
 from repro.obs import get_recorder, get_tracer
 from repro.serve.selection import ReplicaSelector, ServeView, make_selector
 from repro.serve.stats import ServeReport, build_report
-from repro.serve.workloads import DEFAULT_BATCH_SIZE, Request, Workload
+from repro.serve.workloads import DEFAULT_BATCH_SIZE, Workload
 
 Node = Hashable
 
 DEFAULT_ENGINE_SEED = 2017
-
-#: The batched struct-of-arrays hot path (the default).
-ENGINE_BATCHED = "batched"
-#: The reference discrete-event path (one simulator event per arrival).
-ENGINE_PER_REQUEST = "per-request"
-
-ENGINES = (ENGINE_BATCHED, ENGINE_PER_REQUEST)
 
 
 @dataclass(frozen=True)
@@ -107,26 +92,19 @@ class ServeConfig:
         Timing constants for the DCF service-time model.
     seed:
         Seed for the engine RNG (failure coin, randomized policies).
-    engine:
-        Which replay path runs: ``"batched"`` (default hot path) or
-        ``"per-request"`` (the reference event loop).  Both produce
-        byte-identical reports; the flag exists for the equivalence
-        tests and for tracing individual simulator events.
     batch_size:
-        Requests per struct-of-arrays batch on the batched path.
+        Requests per struct-of-arrays batch (never changes the report).
     skip_requests:
         Discard this many requests from the front of the workload stream
         before serving begins.  This is the epoch hook for the adaptive
         control loop (``docs/ADAPTIVE.md``): epoch ``k`` replays
         requests ``[k*R, (k+1)*R)`` of one continuous stream by skipping
         ``k*R``.  Skipped requests consume workload RNG draws but touch
-        no queues, tallies, or engine RNG, so both replay paths stay
-        byte-identical.
+        no queues, tallies, or engine RNG.
     record_demand:
         Tally per-``(client, chunk)`` request counts during the replay
-        (exported via :meth:`ServeEngine.demand_counts`).  Both engines
-        tally the same served requests, so the export is identical
-        whichever path ran.  Off by default — the hot path pays nothing.
+        (exported via :meth:`ServeEngine.demand_counts`).  Off by
+        default — the hot path pays nothing.
     """
 
     failure_rate: float = 0.0
@@ -134,7 +112,6 @@ class ServeConfig:
     retry_penalty: float = 0.05
     dcf: DcfParameters = DcfParameters()
     seed: int = DEFAULT_ENGINE_SEED
-    engine: str = ENGINE_BATCHED
     batch_size: int = DEFAULT_BATCH_SIZE
     skip_requests: int = 0
     record_demand: bool = False
@@ -153,10 +130,6 @@ class ServeConfig:
         if self.retry_penalty < 0:
             raise ProblemError(
                 f"retry_penalty must be >= 0, got {self.retry_penalty}"
-            )
-        if self.engine not in ENGINES:
-            raise ProblemError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
         if self.batch_size < 1:
             raise ProblemError(
@@ -215,12 +188,9 @@ class ServeEngine(ServeView):
             )
             if self.rng.random() < config.failure_rate
         )
-        # Per-server FIFO: queued (request, penalty, attempts) triples +
-        # a busy flag; queue_depth = waiting + in-service.  (Per-request
-        # path only — the batched path tracks depths in _live_depth.)
-        self._queues: Dict[Node, Deque[Tuple[Request, float, int]]] = {}
-        self._busy: Dict[Node, bool] = {}
-        self._live_depth: Optional[Dict[Node, int]] = None
+        # server → requests queued or in service; maintained during the
+        # replay only for load-dependent policies (the ones that read it).
+        self._depth: Dict[Node, int] = {}
         # (server, client) → DCF service seconds; the storage state is
         # frozen during a replay, so this cache is exact.
         self._service_cache: Dict[Tuple[Node, Node], float] = {}
@@ -251,21 +221,14 @@ class ServeEngine(ServeView):
         return row[client]
 
     def queue_depth(self, server: Node) -> int:
-        if self._live_depth is not None:
-            return self._live_depth.get(server, 0)
-        queue = self._queues.get(server)
-        depth = len(queue) if queue else 0
-        if self._busy.get(server):
-            depth += 1
-        return depth
+        return self._depth.get(server, 0)
 
     def demand_counts(self) -> Dict[Tuple[Node, int], int]:
         """Per-``(client, chunk)`` served-request counts from the replay.
 
-        Empty unless :attr:`ServeConfig.record_demand` was set.  Both
-        replay paths serve the identical request multiset, so the
-        returned mapping is engine-independent — the determinism
-        contract the adaptive signal layer builds on.
+        Empty unless :attr:`ServeConfig.record_demand` was set.  The
+        counts are a pure function of the workload stream window, which
+        is the determinism contract the adaptive signal layer builds on.
         """
         return dict(self._demand)
 
@@ -282,7 +245,6 @@ class ServeEngine(ServeView):
                     "workload": self.workload.name,
                     "policy": self.selector.name,
                     "algorithm": self.placement.algorithm,
-                    "engine": self.config.engine,
                     "requests": self.num_requests,
                     "dead_caches": len(self._dead),
                 }
@@ -295,10 +257,7 @@ class ServeEngine(ServeView):
             # the whole network).  The report is the canonical
             # zero-request document either way.
             if self.num_requests > 0 and self.problem.clients:
-                if self.config.engine == ENGINE_PER_REQUEST:
-                    self._replay_per_request(obs, trace)
-                else:
-                    self._replay_batched(obs, trace)
+                self._replay_batched(obs, trace)
         return build_report(
             workload=self.workload.name,
             policy=self.selector.name,
@@ -315,149 +274,16 @@ class ServeEngine(ServeView):
             makespan=self._makespan,
         )
 
-    # -- reference path: one simulator event per arrival/completion ----
-    def _replay_per_request(self, obs, trace) -> None:
-        sim = Simulator()
-        stream = self.workload.stream(
-            self.problem.clients, self.problem.num_chunks
-        )
-        # Epoch hook: burn the epoch prefix without scheduling anything.
-        for _ in range(self.config.skip_requests):
-            if next(stream, None) is None:
-                break
-        remaining = self.num_requests
-        record_demand = self.config.record_demand
-        demand = self._demand
-        # Streaming-telemetry guard: one attribute read when off.  The
-        # per-request engine samples per completion; ``arrived`` feeds
-        # the in-flight census and is only maintained when telemetry is
-        # on (it never influences the replay).
-        series_on = obs.series_enabled
-        arrived = 0
-
-        def schedule_next() -> None:
-            nonlocal remaining
-            if remaining <= 0:
-                return
-            # A finite stream (zero-rate workload) just stops scheduling.
-            request = next(stream, None)
-            if request is None:
-                return
-            remaining -= 1
-            sim.schedule_at(request.time, lambda: arrive(request))
-
-        def arrive(request: Request) -> None:
-            nonlocal arrived
-            schedule_next()  # keep exactly one pending arrival queued
-            if series_on:
-                arrived += 1
-            if record_demand:
-                key = (request.client, request.chunk)
-                demand[key] = demand.get(key, 0) + 1
-            candidates = list(self._candidates[request.chunk])
-            attempts = 0
-            while True:
-                server = self.selector.choose(
-                    request.client, request.chunk, candidates
-                )
-                if server not in self._dead:
-                    break
-                # Dead replica: fail over to the policy's next choice.
-                attempts += 1
-                self._failovers += 1
-                obs.count("serve.failovers")
-                candidates.remove(server)
-            if attempts:
-                self._retried_requests += 1
-            enqueue(server, request, attempts * self.config.retry_penalty,
-                    attempts)
-
-        def enqueue(
-            server: Node, request: Request, penalty: float, attempts: int
-        ) -> None:
-            if self._busy.get(server):
-                self._queues.setdefault(server, deque()).append(
-                    (request, penalty, attempts)
-                )
-                obs.gauge("serve.queue_depth", self.queue_depth(server))
-            else:
-                self._busy[server] = True
-                start_service(server, request, penalty, attempts)
-
-        def start_service(
-            server: Node, request: Request, penalty: float, attempts: int
-        ) -> None:
-            service = self._service_time(server, request.client)
-            sim.schedule(
-                service,
-                lambda: complete(server, request, penalty, attempts, service),
-            )
-
-        def complete(
-            server: Node,
-            request: Request,
-            penalty: float,
-            attempts: int,
-            service: float,
-        ) -> None:
-            latency = (sim.now - request.time) + penalty
-            queue_delay = latency - service - penalty
-            self._latencies.append(latency)
-            self._queue_delays.append(queue_delay)
-            self._served[server] += 1
-            if server == request.client:
-                self._self_served += 1
-            if latency > self.config.timeout:
-                self._timeouts += 1
-                obs.count("serve.timeouts")
-            self._makespan = sim.now
-            obs.count("serve.requests")
-            # Per-completion telemetry: latency/queue-delay histograms,
-            # in-flight census, and the counter snapshot (interval-
-            # throttled by the recorder) that yields rolling
-            # throughput / failover / timeout rate series.  Purely
-            # additive — no RNG draws, no float-order changes — so the
-            # report stays byte-identical with series enabled.
-            if series_on:
-                obs.observe("serve.latency_s", latency)
-                obs.observe("serve.queue_delay_s", queue_delay)
-                obs.series_point(
-                    "serve.inflight", sim.now, arrived - len(self._latencies)
-                )
-                obs.series_mark(sim.now)
-            if trace.enabled:
-                trace.instant(
-                    "serve.request",
-                    track="serve",
-                    args={
-                        "client": str(request.client),
-                        "chunk": request.chunk,
-                        "server": str(server),
-                        "latency_s": latency,
-                        "queue_delay_s": queue_delay,
-                        "attempts": attempts + 1,
-                        "sim_time": sim.now,
-                    },
-                )
-            queue = self._queues.get(server)
-            if queue:
-                next_request, next_penalty, next_attempts = queue.popleft()
-                start_service(server, next_request, next_penalty, next_attempts)
-            else:
-                self._busy[server] = False
-
-        schedule_next()
-        sim.run(max_events=max(10_000_000, 4 * self.num_requests))
-
     # -- hot path: struct-of-arrays batches + a heap of completions ----
     def _replay_batched(self, obs, trace) -> None:
-        """Array-form replay; byte-identical tallies to the event loop.
+        """Array-form replay of per-server FIFO queues.
 
-        Three structural changes buy the throughput (details and
+        Three structural choices buy the throughput (details and
         measurements in ``docs/SCALING.md``):
 
         1. *SoA event batches* — requests arrive as parallel
-           time/client/chunk list columns, never as ``Request`` objects.
+           time/client/chunk list columns, never as one object per
+           request.
         2. *Resolved candidate tables* — for a load-independent policy
            (``cheapest``), the ``(server, failovers, penalty)`` outcome
            of the failover loop is a pure function of ``(chunk,
@@ -465,16 +291,16 @@ class ServeEngine(ServeView):
            request.
         3. *Heap drain* — per-server FIFO queues reduce to one
            queue-free time per server; completions sit in a single heap
-           and are popped in simulated-time order, exactly the order the
-           reference path's simulator fires them in.
+           and are popped in simulated-time order, exactly the order a
+           discrete-event simulator would fire them in.
 
-        Float parity notes: the reference path schedules arrivals with
-        ``Simulator.schedule_at``, whose event time is
-        ``now + (t - now)`` — a rounding chain over the previous
-        arrival's event time, not the raw stream time.  This path
-        reproduces that chain (``effective``), and reuses the reference
-        path's exact latency/queue-delay expressions, so every float in
-        the report is bit-identical.
+        Float parity notes: arrival times follow a discrete-event
+        clock's ``now + (t - now)`` rounding chain over the previous
+        arrival's time (``effective``), not the raw stream time, and
+        latency / queue delay use fixed expressions.  The test suite's
+        event-loop reference model (``tests/serve_reference.py``)
+        schedules the same way, so every float in the report is
+        bit-identical to it.
         """
         config = self.config
         selector = self.selector
@@ -497,9 +323,7 @@ class ServeEngine(ServeView):
         # actually occur pay the resolution cost.
         resolved: Dict[Tuple[int, Node], Tuple[Node, int, float, float]] = {}
         free: Dict[Node, float] = {}  # server → queue-free sim time
-        depth: Dict[Node, int] = {}  # server → queued + in service
-        if not load_independent:
-            self._live_depth = depth
+        depth = self._depth
         # Completion heap entries:
         # (done, seq, server, raw_arrival, service, penalty, attempts,
         #  client, chunk) — seq breaks exact-time ties deterministically.
@@ -519,8 +343,7 @@ class ServeEngine(ServeView):
         # batch (its natural cadence) from the live local tallies —
         # the recorder counters are only bulk-incremented at the end
         # of the replay, so ``series_mark`` snapshots would read zeros
-        # here.  Series names and kinds match the per-request engine's
-        # schema exactly.
+        # here.
         series_on = obs.series_enabled
 
         def drain(limit: Optional[float]) -> None:
@@ -528,8 +351,8 @@ class ServeEngine(ServeView):
 
             Pops run in (time, seq) order and the limit only ever
             grows, so the accounting sequence — and with it every
-            order-sensitive float sum in the report — matches the
-            reference path's completion-event order exactly.
+            order-sensitive float sum in the report — is the
+            completion-event order of a FIFO event loop.
             """
             nonlocal timeouts, self_served
             while heap and (limit is None or heap[0][0] < limit):
@@ -584,11 +407,9 @@ class ServeEngine(ServeView):
         )
         remaining = self.num_requests
         # Epoch hook: drop the skipped stream prefix batch by batch.
-        # Skipped requests never enter the tallies or the float chain,
-        # matching the reference path's pre-scheduling burn exactly.
+        # Skipped requests never enter the tallies or the float chain.
         to_skip = config.skip_requests
-        # The reference path's arrival-event times round through
-        # schedule_at (now + (t - now)); mirror the chain exactly.
+        # Arrival-event times round through now + (t - now).
         effective = 0.0
         while remaining > 0:
             batch = next(stream, None)
@@ -691,14 +512,12 @@ class ServeEngine(ServeView):
         drain(None)
         if series_on:
             sample_series()
-        self._live_depth = None
 
         self._timeouts += timeouts
         self._failovers += failovers
         self._retried_requests += retried
         self._self_served += self_served
-        # Bulk counter increments: identical totals to the per-request
-        # path's per-event counts.
+        # Bulk counter increments, once per replay.
         if generated:
             obs.count("serve.requests", generated)
         if failovers:
@@ -770,55 +589,4 @@ def serve_placement(
         policy=policy,
         config=resolved,
     )
-    report = engine.run()
-    _sanitize_serve_equivalence(
-        report, placement, workload, num_requests, policy, resolved
-    )
-    return report
-
-
-def _sanitize_serve_equivalence(
-    report: ServeReport,
-    placement: CachePlacement,
-    workload: Workload,
-    num_requests: int,
-    policy: Union[str, ReplicaSelector],
-    config: ServeConfig,
-) -> None:
-    """REPRO_SANITIZE cross-check: batched == per-request, byte for byte.
-
-    Only for batched replays small enough that a serial shadow run is
-    cheap (``SERVE_EQUIVALENCE_MAX_REQUESTS``).  The shadow replay runs
-    under null obs sinks so counters and traces record one serve, not
-    two.
-    """
-    from repro.analysis import contracts
-
-    if (
-        not contracts.sanitize_enabled()
-        or config.engine != ENGINE_BATCHED
-        or num_requests > contracts.SERVE_EQUIVALENCE_MAX_REQUESTS
-    ):
-        return
-    from dataclasses import replace
-
-    from repro.obs import NullRecorder, NullTracer, use_recorder, use_tracer
-
-    shadow = ServeEngine(
-        placement,
-        workload,
-        num_requests,
-        policy=policy,
-        config=replace(config, engine=ENGINE_PER_REQUEST),
-    )
-    with use_recorder(NullRecorder()):
-        with use_tracer(NullTracer()):
-            reference = shadow.run()
-    contracts.check_serve_equivalence(
-        batched_json=report.to_json(),
-        reference_json=reference.to_json(),
-        context=(
-            f"serve_placement(requests={num_requests}, "
-            f"seed={config.seed})"
-        ),
-    )
+    return engine.run()

@@ -62,10 +62,10 @@ class ReplicaSelector:
 
     ``load_independent`` declares that :meth:`choose` is a pure function
     of ``(client, chunk, candidates)`` — it reads neither queue depths
-    nor the RNG.  The batched engine exploits this to resolve each
+    nor the RNG.  The engine exploits this to resolve each
     ``(client, chunk)`` pair to its ``(server, failover count)`` exactly
     once per replay instead of once per request; load-dependent policies
-    keep the per-request call (see ``docs/SCALING.md``).
+    keep one call per request (see ``docs/SCALING.md``).
     """
 
     name = "base"

@@ -10,24 +10,23 @@ placement.
 
 Every generator is
 
-* **seeded** — a fresh ``random.Random(seed)`` per :meth:`Workload.stream`
-  call, so the same workload object yields a bit-identical stream every
-  time it is iterated (the engine's determinism guarantee starts here);
-* **iterator-based** — requests are produced one at a time from O(1)
-  generator state, so a million-request replay never materializes a
-  request list;
+* **seeded** — a fresh ``random.Random(seed)`` per
+  :meth:`Workload.stream_batches` call, so the same workload object
+  yields a bit-identical stream every time it is iterated (the engine's
+  determinism guarantee starts here);
+* **iterator-based** — requests are produced one batch at a time from
+  O(1) generator state, so a million-request replay never materializes
+  a request list;
 * **Poisson in time** — exponential interarrivals at ``rate`` requests
   per simulated second across the whole network (flash crowds add a
   burst window on top).
 
-Two stream shapes share one RNG schedule.  :meth:`Workload.stream`
-yields :class:`Request` objects (the per-request engine path);
 :meth:`Workload.stream_batches` yields struct-of-arrays batches —
-parallel ``times`` / ``clients`` / ``chunks`` list columns — for the
-batched engine hot path (see ``docs/SCALING.md``).  Both draw
-interarrival, client, chunk per request in that exact order from the
-same seeded RNG, so the value sequences are identical; the equivalence
-tests assert it for every generator.
+parallel ``times`` / ``clients`` / ``chunks`` list columns (see
+``docs/SCALING.md``).  Each request draws interarrival, client, chunk
+in that exact order from one seeded RNG, so the batch size never
+changes the flattened request sequence; the stream tests assert it for
+every generator.
 
 A ``rate`` of exactly 0 is a valid degenerate workload: the stream is
 empty (no request ever arrives) and the engine returns a zero-request
@@ -71,16 +70,6 @@ StreamState = Dict[str, Any]
 
 
 @dataclass(frozen=True)
-class Request:
-    """One client request: ``client`` wants ``chunk`` at time ``time``."""
-
-    index: int
-    time: float
-    client: Node
-    chunk: int
-
-
-@dataclass(frozen=True)
 class Workload:
     """Base request-stream generator (Poisson arrivals, uniform draws).
 
@@ -100,34 +89,19 @@ class Workload:
         if self.rate < 0:
             raise ProblemError(f"request rate must be >= 0, got {self.rate}")
 
-    def stream(
-        self, clients: Sequence[Node], num_chunks: int
-    ) -> Iterator[Request]:
-        """An endless deterministic request stream (seeded per call).
-
-        A zero-rate workload yields an empty stream (no arrivals, ever).
-        """
-        clients = self._check_stream_args(clients, num_chunks)
-        if self.rate == 0:
-            return iter(())
-        rng = random.Random(self.seed)
-        state = self._prepare(rng, clients, num_chunks)
-        return self._generate(rng, state, clients, num_chunks)
-
     def stream_batches(
         self,
         clients: Sequence[Node],
         num_chunks: int,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> Iterator[RequestBatch]:
-        """The same stream as :meth:`stream`, in struct-of-arrays batches.
+        """An endless deterministic request stream (seeded per call).
 
         Yields ``(times, clients, chunks)`` parallel list columns of
-        ``batch_size`` requests each, endlessly.  The RNG is consumed in
-        exactly the per-request order (interarrival, client, chunk), so
-        column ``i`` of batch ``b`` equals request ``b * batch_size + i``
-        of :meth:`stream` — the batched engine's equivalence guarantee
-        starts here.  A zero-rate workload yields no batches.
+        ``batch_size`` requests each.  The RNG is consumed request by
+        request (interarrival, client, chunk), so column ``i`` of batch
+        ``b`` is request ``b * batch_size + i`` whatever the batch size.
+        A zero-rate workload yields no batches (no arrivals, ever).
         """
         if batch_size < 1:
             raise ProblemError(f"batch_size must be >= 1, got {batch_size}")
@@ -152,8 +126,7 @@ class Workload:
             for _ in range(batch_size):
                 now += interarrival(rng, now)
                 times.append(now)
-                # Client before chunk: Request(...) evaluates its keyword
-                # arguments in that order, and RNG order is the contract.
+                # Client before chunk: RNG order is the contract.
                 batch_clients.append(pick_client(rng, clients, state))
                 batch_chunks.append(pick_chunk(rng, num_chunks, now, state))
             yield times, batch_clients, batch_chunks
@@ -166,25 +139,6 @@ class Workload:
         if num_chunks < 1:
             raise ProblemError("workload needs at least one chunk")
         return list(clients)
-
-    def _generate(
-        self,
-        rng: random.Random,
-        state: StreamState,
-        clients: List[Node],
-        num_chunks: int,
-    ) -> Iterator[Request]:
-        now = 0.0
-        index = 0
-        while True:
-            now += self._interarrival(rng, now)
-            yield Request(
-                index=index,
-                time=now,
-                client=self._pick_client(rng, clients, state),
-                chunk=self._pick_chunk(rng, num_chunks, now, state),
-            )
-            index += 1
 
     # -- hooks ---------------------------------------------------------
     def _prepare(
@@ -339,8 +293,8 @@ class ShiftWorkload(ZipfWorkload):
     The Zipf skew is constant; which chunk occupies which rank is a
     seeded permutation that is re-drawn at every epoch boundary.  The
     permutation RNG is separate from the request RNG (derived from
-    ``seed``), so shuffles never perturb the per-request draw schedule
-    and :meth:`stream` / :meth:`stream_batches` stay value-identical.
+    ``seed``), so shuffles never perturb the request draw schedule and
+    the stream is the same at every batch size.
     Epochs advance one at a time even when an interarrival gap skips
     several boundaries, so the permutation at any ``now`` depends only
     on ``int(now // shift_period)`` — not on the arrival pattern.

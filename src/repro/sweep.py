@@ -51,7 +51,7 @@ from repro.experiments.runner import SOLVERS
 from repro.obs import get_recorder, get_tracer
 from repro.obs.manifest import build_manifest
 from repro.serve import SELECTION_POLICIES, WORKLOADS, ServeConfig
-from repro.serve.engine import ENGINE_BATCHED, ENGINES, serve_placement
+from repro.serve.engine import serve_placement
 from repro.workloads import grid_problem, random_problem
 
 SWEEP_SCHEMA = "repro-sweep/1"
@@ -137,7 +137,6 @@ class SweepGrid:
     failure_rate: float = 0.0
     chunks: int = 5
     capacity: int = 5
-    engine: str = ENGINE_BATCHED
 
     def __post_init__(self) -> None:
         for axis_name in (
@@ -168,9 +167,11 @@ class SweepGrid:
             raise ProblemError(
                 f"requests must be >= 0, got {self.requests}"
             )
-        if self.engine not in ENGINES:
+        if self.rate is not None and self.rate < 0:
+            raise ProblemError(f"rate must be >= 0, got {self.rate}")
+        if not 0.0 <= self.failure_rate <= 1.0:
             raise ProblemError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
+                f"failure_rate must be in [0, 1], got {self.failure_rate}"
             )
         from repro.adaptive import ADAPTIVE_POLICIES
 
@@ -230,7 +231,6 @@ class SweepGrid:
             "failure_rate": self.failure_rate,
             "chunks": self.chunks,
             "capacity": self.capacity,
-            "engine": self.engine,
         }
 
 
@@ -318,7 +318,6 @@ def _run_adaptive_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
         serve=ServeConfig(
             failure_rate=payload["failure_rate"],
             seed=payload["seed"],
-            engine=payload["engine"],
         ),
     )
     controller = AdaptiveController(problem, workload, config)
@@ -346,7 +345,6 @@ def _run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     config = ServeConfig(
         failure_rate=payload["failure_rate"],
         seed=payload["seed"],
-        engine=payload["engine"],
     )
     report = serve_placement(
         placement,

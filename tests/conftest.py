@@ -2,7 +2,9 @@
 
 The whole suite runs with the :mod:`repro.analysis.contracts` sanitizer
 enabled (unless the caller already set ``REPRO_SANITIZE``), so every
-dual ascent, chunk commit, and protocol session is invariant-checked.
+dual ascent, chunk commit, and protocol session is invariant-checked,
+and every small serve replay is byte-compared with the event-loop
+reference model (:mod:`tests.serve_reference`).
 """
 
 from __future__ import annotations
@@ -13,8 +15,38 @@ os.environ.setdefault("REPRO_SANITIZE", "1")
 
 import pytest
 
+from repro.analysis import contracts
 from repro.graphs import Graph, grid_graph, path_graph
+from repro.serve.engine import ServeEngine
 from repro.workloads import grid_problem
+from tests import serve_reference
+
+
+@pytest.fixture(autouse=True)
+def serve_reference_shadow(monkeypatch):
+    """Shadow every engine replay of at most ``SHADOW_MAX_REQUESTS``
+    requests on the reference model while the sanitizer is on.
+
+    Wrapping :meth:`ServeEngine.run` covers every ``serve_placement``
+    call, every adaptive epoch and every in-process sweep cell.  The
+    reference model subclasses the engine, so its own ``run`` is left
+    alone.  Module attributes are read per call so tests can spy on the
+    check or lower the cap.
+    """
+    if not contracts.sanitize_enabled():
+        return
+    real_run = ServeEngine.run
+
+    def checked_run(self):
+        report = real_run(self)
+        if (
+            type(self) is ServeEngine
+            and self.num_requests <= serve_reference.SHADOW_MAX_REQUESTS
+        ):
+            serve_reference.shadow_check(self, report)
+        return report
+
+    monkeypatch.setattr(ServeEngine, "run", checked_run)
 
 
 @pytest.fixture

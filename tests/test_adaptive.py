@@ -34,11 +34,7 @@ from repro.adaptive import (
 )
 from repro.core.approximation import solve_approximation
 from repro.errors import ProblemError
-from repro.serve.engine import (
-    ENGINE_PER_REQUEST,
-    ServeConfig,
-    ServeEngine,
-)
+from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.workloads import (
     WORKLOADS,
     DiurnalWorkload,
@@ -46,6 +42,7 @@ from repro.serve.workloads import (
     ZipfWorkload,
 )
 from repro.workloads import grid_problem
+from tests.serve_reference import ReferenceServeEngine, request_stream
 
 
 def small_problem():
@@ -409,21 +406,18 @@ class TestConfigValidation:
 
 
 class TestDemandExport:
-    def _engine(self, engine_name, skip):
+    def _engine(self, engine_cls, skip):
         problem = small_problem()
         placement = solve_approximation(problem)
-        config = ServeConfig(
-            seed=7, engine=engine_name, skip_requests=skip,
-            record_demand=True,
-        )
-        return ServeEngine(
+        config = ServeConfig(seed=7, skip_requests=skip, record_demand=True)
+        return engine_cls(
             placement, ZipfWorkload(seed=7, rate=4.0), 600, config=config
         )
 
     @pytest.mark.parametrize("skip", [0, 500])
     def test_batched_and_per_request_export_identical_demand(self, skip):
-        batched = self._engine("batched", skip)
-        per_request = self._engine(ENGINE_PER_REQUEST, skip)
+        batched = self._engine(ServeEngine, skip)
+        per_request = self._engine(ReferenceServeEngine, skip)
         batched.run()
         per_request.run()
         counts = batched.demand_counts()
@@ -452,25 +446,18 @@ class TestDriftWorkloads:
     def test_shift_stream_is_deterministic(self):
         clients = ["a", "b", "c"]
         w = ShiftWorkload(seed=5, rate=2.0, shift_period=30.0)
-        stream = w.stream(clients, 4)
+        stream = request_stream(w, clients, 4)
         first = [next(stream) for _ in range(50)]
-        again = w.stream(clients, 4)
+        again = request_stream(w, clients, 4)
         assert first == [next(again) for _ in range(50)]
 
     def test_shift_batches_match_stream(self):
         clients = ["a", "b", "c"]
         w = ShiftWorkload(seed=5, rate=2.0, shift_period=30.0)
-        stream = w.stream(clients, 4)
+        stream = request_stream(w, clients, 4)
         flat = [next(stream) for _ in range(64)]
-        batches = w.stream_batches(clients, 4, batch_size=16)
-        unrolled = []
-        while len(unrolled) < 64:
-            times, cl, ch = next(batches)
-            unrolled.extend(zip(times, cl, ch))
-        for request, (time, client, chunk) in zip(flat, unrolled):
-            assert (request.time, request.client, request.chunk) == (
-                time, client, chunk,
-            )
+        small = request_stream(w, clients, 4, batch_size=16)
+        assert flat == [next(small) for _ in range(64)]
 
     def test_shift_actually_reshuffles_popularity(self):
         """The top chunk of early epochs differs from later ones for
@@ -478,7 +465,7 @@ class TestDriftWorkloads:
         clients = ["a", "b", "c", "d"]
         w = ShiftWorkload(seed=3, rate=10.0, exponent=1.4, shift_period=50.0)
         per_epoch = {}
-        for request in w.stream(clients, 5):
+        for request in request_stream(w, clients, 5):
             if request.time >= 250.0:
                 break
             epoch = int(request.time // 50.0)
@@ -499,7 +486,7 @@ class TestDriftWorkloads:
             seed=9, rate=5.0, period=100.0, amplitude=0.8
         )
         day = night = 0
-        for request in w.stream(clients, 3):
+        for request in request_stream(w, clients, 3):
             if request.time >= 400.0:
                 break
             phase = request.time % 100.0

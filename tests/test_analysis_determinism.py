@@ -1,6 +1,6 @@
 """Tests for the determinism/RNG-flow/parallel-safety lint families,
 the ``determinism.toml`` contracts, machine-readable lint output, and
-the REPRO_SANITIZE serve-equivalence cross-check.
+the REPRO_SANITIZE serve-equivalence shadow check.
 
 Every new rule gets a failing + passing fixture pair under
 ``tests/analysis_fixtures/`` (linted with only its family enabled so
@@ -36,7 +36,8 @@ from repro.analysis.report import render_json, render_sarif
 from repro.analysis.rngflow import check_rngflow
 from repro.analysis.spec import _parse_toml_subset
 from repro.cli import main as cli_main
-from repro.errors import InvariantError, ProblemError
+from repro.errors import ProblemError
+from tests import serve_reference
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 DET_SPEC_PATH = Path(__file__).parent.parent / "docs" / "determinism.toml"
@@ -505,66 +506,78 @@ class TestCli:
 
 
 class TestServeEquivalence:
-    def test_equal_reports_pass(self):
-        from repro.analysis import contracts
+    """The suite-wide shadow check (``tests/conftest.py``): every small
+    engine replay is byte-compared with the reference model."""
 
-        contracts.check_serve_equivalence(
-            batched_json='{"a": 1}',
-            reference_json='{"a": 1}',
-            context="unit",
-        )
+    @pytest.fixture
+    def placement(self):
+        from repro.core import solve_approximation
+        from repro.workloads import grid_problem
+
+        return solve_approximation(grid_problem(4, num_chunks=3))
+
+    def test_equal_reports_pass(self):
+        serve_reference.assert_same_report('{"a": 1}', '{"a": 1}', "unit")
 
     def test_divergence_raises_with_line(self):
-        from repro.analysis import contracts
-
-        with pytest.raises(InvariantError) as err:
-            contracts.check_serve_equivalence(
-                batched_json='{\n  "a": 1\n}',
-                reference_json='{\n  "a": 2\n}',
-                context="unit",
+        with pytest.raises(AssertionError) as err:
+            serve_reference.assert_same_report(
+                '{\n  "a": 1\n}', '{\n  "a": 2\n}', "unit"
             )
         assert "serve-equivalence" in str(err.value)
         assert "line 2" in str(err.value)
 
-    def test_shadow_replay_fires_on_small_batched_runs(self):
-        from repro.analysis import contracts
-        from repro.core import solve_approximation
+    def test_shadow_replay_fires_on_small_batched_runs(self, placement):
         from repro.serve.engine import serve_placement
         from repro.serve.workloads import WORKLOADS
-        from repro.workloads import grid_problem
 
-        placement = solve_approximation(grid_problem(4, num_chunks=3))
-        workload = WORKLOADS["zipf"](seed=7)
+        _require_sanitizer()
         calls = []
-        real = contracts.check_serve_equivalence
+        real = serve_reference.shadow_check
 
-        def spy(**kwargs):
-            calls.append(kwargs["context"])
-            real(**kwargs)
+        def spy(engine, report):
+            calls.append(engine.num_requests)
+            real(engine, report)
 
-        with mock.patch.object(
-            contracts, "check_serve_equivalence", spy
-        ):
-            serve_placement(placement, workload, 300)
-        assert calls, "sanitizer cross-check did not fire"
+        with mock.patch.object(serve_reference, "shadow_check", spy):
+            serve_placement(placement, WORKLOADS["zipf"](seed=7), 300)
+        assert calls == [300], "sanitizer cross-check did not fire"
 
-    def test_shadow_replay_skipped_above_cap(self):
-        from repro.analysis import contracts
-        from repro.core import solve_approximation
+    def test_shadow_replay_skipped_above_cap(self, placement):
         from repro.serve.engine import serve_placement
         from repro.serve.workloads import WORKLOADS
-        from repro.workloads import grid_problem
 
-        placement = solve_approximation(grid_problem(4, num_chunks=3))
-        workload = WORKLOADS["zipf"](seed=7)
         calls = []
-
         with mock.patch.object(
-            contracts, "SERVE_EQUIVALENCE_MAX_REQUESTS", 10
+            serve_reference, "SHADOW_MAX_REQUESTS", 10
         ), mock.patch.object(
-            contracts,
-            "check_serve_equivalence",
-            lambda **kw: calls.append(kw),
+            serve_reference,
+            "shadow_check",
+            lambda engine, report: calls.append(engine),
         ):
-            serve_placement(placement, workload, 300)
+            serve_placement(placement, WORKLOADS["zipf"](seed=7), 300)
         assert not calls
+
+    def test_perturbed_engine_report_fails_shadow(self, placement):
+        # Canary: an engine whose tallies drift from the reference
+        # model must trip the suite-wide check.
+        from repro.serve.engine import ServeEngine, serve_placement
+        from repro.serve.workloads import WORKLOADS
+
+        _require_sanitizer()
+        real_replay = ServeEngine._replay_batched
+
+        def perturbed(self, obs, trace):
+            real_replay(self, obs, trace)
+            self._timeouts += 1
+
+        with mock.patch.object(ServeEngine, "_replay_batched", perturbed):
+            with pytest.raises(AssertionError, match="serve-equivalence"):
+                serve_placement(placement, WORKLOADS["zipf"](seed=7), 300)
+
+
+def _require_sanitizer() -> None:
+    from repro.analysis import contracts
+
+    if not contracts.sanitize_enabled():
+        pytest.skip("the shadow check runs only with REPRO_SANITIZE on")

@@ -273,3 +273,40 @@ class TestTraceExport:
 def test_experiment_all_accepted():
     args = build_parser().parse_args(["experiment", "all", "--fast"])
     assert args.id == "all"
+
+
+class TestInputErrors:
+    """Bad setup inputs exit 2 with one ``repro <command>: ...`` line on
+    stderr — never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--grid", "3", "--rate", "-1"],
+        ["serve", "--grid", "3", "--failure-rate", "2"],
+        ["serve", "--grid", "0"],
+        ["serve", "--nodes", "1"],
+        ["solve", "--grid", "0"],
+        ["solve", "--random", "1"],
+        ["adapt", "--nodes", "1"],
+        ["adapt", "--grid", "4", "--rate", "-2"],
+        ["adapt", "--grid", "4", "--epoch-requests", "0"],
+        ["sweep", "--requests", "10", "--rate", "-1"],
+        ["serve", "--grid", "4", "--requests", "5", "--epochs", "10",
+         "--adaptive", "hybrid"],
+    ], ids=" ".join)
+    def test_exits_2_with_one_line(self, argv, tmp_path, monkeypatch,
+                                   capsys):
+        monkeypatch.chdir(tmp_path)  # sweep would write SWEEP.json here
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"repro {argv[0]}: ")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_adaptive_serves_when_requests_cover_epochs(self, capsys):
+        assert main(["serve", "--grid", "4", "--chunks", "2",
+                     "--requests", "10", "--epochs", "10", "--adaptive",
+                     "--json"]) == 0
+        out = capsys.readouterr().out
+        assert '"epoch_requests": 1' in out

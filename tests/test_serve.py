@@ -2,9 +2,10 @@
 
 The contract under test, in order of importance: *determinism* (same
 seed → bit-identical request streams and byte-identical reports, for
-every workload generator and every selection policy), then the workload
-shapes, the selection semantics, failure injection, observability
-hookup, and the CLI surface.
+every workload generator and every selection policy), *equivalence*
+with the discrete-event reference model in ``tests/serve_reference.py``,
+then the workload shapes, the selection semantics, failure injection,
+observability hookup, and the CLI surface.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.core import solve_approximation
 from repro.errors import ProblemError
 from repro.obs import Recorder, Tracer, use_recorder, use_tracer
 from repro.serve import (
+    DEFAULT_BATCH_SIZE,
     SELECTION_POLICIES,
     WORKLOADS,
     CheapestCost,
@@ -27,6 +29,7 @@ from repro.serve import (
     LeastLoaded,
     PowerOfTwoChoices,
     ServeConfig,
+    ServeEngine,
     ServeReport,
     UniformWorkload,
     ZipfWorkload,
@@ -34,6 +37,15 @@ from repro.serve import (
     serve_placement,
 )
 from repro.workloads import grid_problem
+from tests.serve_reference import (
+    ReferenceServeEngine,
+    reference_serve,
+    request_stream,
+)
+
+#: Replay entry points by the names the engine-parametrized tests use:
+#: the engine itself and the discrete-event reference model.
+RUNNERS = {"batched": serve_placement, "per-request": reference_serve}
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +53,11 @@ def placement():
     return solve_approximation(grid_problem(4, num_chunks=3))
 
 
-def take(workload, clients, num_chunks, n):
+def take(workload, clients, num_chunks, n, batch_size=1):
     return list(
-        itertools.islice(workload.stream(clients, num_chunks), n)
+        itertools.islice(
+            request_stream(workload, clients, num_chunks, batch_size), n
+        )
     )
 
 
@@ -79,8 +93,8 @@ class TestWorkloadStreams:
         # state: interleaving them changes nothing.
         workload = HotspotWorkload(seed=11)
         solo = take(workload, CLIENTS, 4, 50)
-        s1 = workload.stream(CLIENTS, 4)
-        s2 = workload.stream(CLIENTS, 4)
+        s1 = request_stream(workload, CLIENTS, 4)
+        s2 = request_stream(workload, CLIENTS, 4)
         interleaved = []
         for _ in range(50):
             interleaved.append(next(s1))
@@ -134,10 +148,6 @@ class TestWorkloadStreams:
         with pytest.raises(ProblemError):
             FlashCrowdWorkload(burst_factor=0.5)
         with pytest.raises(ProblemError):
-            UniformWorkload().stream([], 3)
-        with pytest.raises(ProblemError):
-            UniformWorkload().stream(CLIENTS, 0)
-        with pytest.raises(ProblemError):
             UniformWorkload().stream_batches([], 3)
         with pytest.raises(ProblemError):
             UniformWorkload().stream_batches(CLIENTS, 0)
@@ -146,23 +156,16 @@ class TestWorkloadStreams:
 
     def test_zero_rate_streams_are_empty(self):
         workload = UniformWorkload(seed=3, rate=0.0)
-        assert list(workload.stream(CLIENTS, 4)) == []
         assert list(workload.stream_batches(CLIENTS, 4)) == []
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    @pytest.mark.parametrize("batch_size", [1, 3, 7, 64])
     def test_batches_match_per_request_stream(self, name, batch_size):
-        # The batched engine's equivalence guarantee starts here: the
-        # SoA columns must carry exactly the per-request stream values.
+        # The batch size is an execution detail: flattened, every size
+        # yields the request sequence of the engine's default batches.
         workload = WORKLOADS[name](seed=17)
-        requests = take(workload, CLIENTS, 4, 200)
-        batches = workload.stream_batches(CLIENTS, 4, batch_size=batch_size)
-        flat = []
-        while len(flat) < 200:
-            times, clients, chunks = next(batches)
-            flat.extend(zip(times, clients, chunks))
-        flat = flat[:200]
-        assert flat == [(r.time, r.client, r.chunk) for r in requests]
+        requests = take(workload, CLIENTS, 4, 200, DEFAULT_BATCH_SIZE)
+        assert take(workload, CLIENTS, 4, 200, batch_size) == requests
 
 
 class _StaticView:
@@ -265,10 +268,10 @@ class TestEngineDeterminism:
 
 
 class TestBatchedEquivalence:
-    """The batched hot path is a pure optimisation: byte-identical
-    ServeReport JSON to the per-request reference path, for every
-    workload × policy combination, at two seeds (the ISSUE 6 acceptance
-    harness)."""
+    """The engine's heap drain is a pure optimisation: byte-identical
+    ServeReport JSON to the discrete-event reference model, for every
+    workload × policy combination, at two seeds, and over adaptive
+    epoch windows (``skip_requests`` × ``record_demand``)."""
 
     @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
     @pytest.mark.parametrize("policy", sorted(SELECTION_POLICIES))
@@ -277,19 +280,35 @@ class TestBatchedEquivalence:
         self, placement, workload_name, policy, seed
     ):
         workload = WORKLOADS[workload_name](seed=seed)
-        reference = serve_placement(
+        reference = reference_serve(
             placement, workload, 300, policy=policy,
-            config=ServeConfig(
-                failure_rate=0.3, seed=seed, engine="per-request"
-            ),
+            config=ServeConfig(failure_rate=0.3, seed=seed),
         )
         batched = serve_placement(
             placement, workload, 300, policy=policy,
-            config=ServeConfig(
-                failure_rate=0.3, seed=seed, engine="batched", batch_size=64
-            ),
+            config=ServeConfig(failure_rate=0.3, seed=seed, batch_size=64),
         )
         assert batched.to_json() == reference.to_json()
+
+    @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
+    @pytest.mark.parametrize("policy", sorted(SELECTION_POLICIES))
+    @pytest.mark.parametrize("skip", [0, 500])
+    @pytest.mark.parametrize("record_demand", [False, True])
+    def test_epoch_window_matches_reference(
+        self, placement, workload_name, policy, skip, record_demand
+    ):
+        workload = WORKLOADS[workload_name](seed=7)
+        config = ServeConfig(
+            failure_rate=0.3, seed=7, batch_size=64, skip_requests=skip,
+            record_demand=record_demand,
+        )
+        engine = ServeEngine(placement, workload, 300, policy, config)
+        reference = ReferenceServeEngine(
+            placement, workload, 300, policy, config
+        )
+        assert engine.run().to_json() == reference.run().to_json()
+        assert engine.demand_counts() == reference.demand_counts()
+        assert bool(engine.demand_counts()) == record_demand
 
     def test_batch_size_does_not_change_report(self, placement):
         workload = ZipfWorkload(seed=5)
@@ -304,24 +323,19 @@ class TestBatchedEquivalence:
 
     def test_batched_counters_match_per_request(self, placement):
         workload = ZipfWorkload(seed=9)
-        dumps = {}
-        for engine in ("per-request", "batched"):
-            recorder = Recorder()
-            with use_recorder(recorder):
-                serve_placement(
-                    placement, workload, 200,
-                    config=ServeConfig(
-                        failure_rate=0.4, timeout=1.0, seed=9, engine=engine
-                    ),
-                )
-            dumps[engine] = recorder.dump()["counters"]
-        for name in ("serve.requests", "serve.failovers", "serve.timeouts"):
-            assert dumps["batched"].get(name, 0) == \
-                dumps["per-request"].get(name, 0)
-        assert dumps["batched"]["serve.batch.requests"] == 200
-        assert dumps["batched"]["serve.batch.batches"] >= 1
-        assert dumps["batched"]["serve.batch.table_entries"] > 0
-        assert "serve.batch.batches" not in dumps["per-request"]
+        config = ServeConfig(failure_rate=0.4, timeout=1.0, seed=9)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            serve_placement(placement, workload, 200, config=config)
+        counters = recorder.dump()["counters"]
+        reference = reference_serve(placement, workload, 200, config=config)
+        assert reference.failovers > 0 and reference.timeouts > 0
+        assert counters["serve.requests"] == reference.completed
+        assert counters["serve.failovers"] == reference.failovers
+        assert counters["serve.timeouts"] == reference.timeouts
+        assert counters["serve.batch.requests"] == 200
+        assert counters["serve.batch.batches"] >= 1
+        assert counters["serve.batch.table_entries"] > 0
 
     def test_batched_trace_instants_match(self, placement):
         tracer = Tracer()
@@ -332,21 +346,22 @@ class TestBatchedEquivalence:
         assert "serve.batch" in names
 
     def test_engine_flag_validated(self):
-        with pytest.raises(ProblemError):
-            ServeConfig(engine="bogus")
+        # One engine: there is no flag to choose another.
+        with pytest.raises(TypeError):
+            ServeConfig(engine="batched")
         with pytest.raises(ProblemError):
             ServeConfig(batch_size=0)
 
 
 class TestDegenerateReplays:
     """Zero-rate, zero-request, and single-node replays exit cleanly
-    with the canonical zero-request report on both engine paths."""
+    with the canonical zero-request report, on the engine and on the
+    reference model."""
 
-    @pytest.mark.parametrize("engine", ["batched", "per-request"])
+    @pytest.mark.parametrize("engine", sorted(RUNNERS))
     def test_zero_rate_workload(self, placement, engine):
-        report = serve_placement(
-            placement, UniformWorkload(seed=2, rate=0.0), 500,
-            config=ServeConfig(engine=engine),
+        report = RUNNERS[engine](
+            placement, UniformWorkload(seed=2, rate=0.0), 500
         )
         assert report.requests == 500
         assert report.completed == 0
@@ -355,26 +370,20 @@ class TestDegenerateReplays:
         assert report.latency_p99 == 0.0
         assert all(v == 0 for v in report.served_loads.values())
 
-    @pytest.mark.parametrize("engine", ["batched", "per-request"])
+    @pytest.mark.parametrize("engine", sorted(RUNNERS))
     def test_single_node_topology(self, engine):
         # A 1x1 grid is just the producer: no clients, no requests.
         problem = grid_problem(1, num_chunks=2)
         single = solve_approximation(problem)
-        report = serve_placement(
-            single, ZipfWorkload(seed=2), 100,
-            config=ServeConfig(engine=engine),
-        )
+        report = RUNNERS[engine](single, ZipfWorkload(seed=2), 100)
         assert report.completed == 0
         assert report.served_gini == 0.0
         assert report.served_jains == 1.0
 
     def test_zero_rate_reports_identical_across_engines(self, placement):
         reports = [
-            serve_placement(
-                placement, ZipfWorkload(seed=2, rate=0.0), 100,
-                config=ServeConfig(engine=engine),
-            ).to_json()
-            for engine in ("batched", "per-request")
+            run(placement, ZipfWorkload(seed=2, rate=0.0), 100).to_json()
+            for run in RUNNERS.values()
         ]
         assert reports[0] == reports[1]
 

@@ -11,8 +11,7 @@ import json
 import pytest
 
 from repro.errors import ProblemError
-from repro.serve import ServeConfig, ZipfWorkload, serve_placement
-from repro.serve.engine import ENGINE_PER_REQUEST
+from repro.serve import WORKLOADS, ServeConfig, ZipfWorkload, serve_placement
 from repro.sweep import (
     SWEEP_SCHEMA,
     SweepGrid,
@@ -25,6 +24,7 @@ from repro.sweep import (
 )
 from repro.workloads import grid_problem
 from repro.core.approximation import solve_approximation
+from tests.serve_reference import reference_serve
 
 SMALL_GRID = SweepGrid(
     topologies=("grid:4",),
@@ -60,8 +60,12 @@ class TestGridValidation:
             SweepGrid(policies=("nope",))
         with pytest.raises(ProblemError, match="algorithm"):
             SweepGrid(algorithm="Nope")
-        with pytest.raises(ProblemError, match="engine"):
-            SweepGrid(engine="warp")
+        with pytest.raises(TypeError):
+            SweepGrid(engine="batched")
+        with pytest.raises(ProblemError, match="rate"):
+            SweepGrid(rate=-1.0)
+        with pytest.raises(ProblemError, match="failure_rate"):
+            SweepGrid(failure_rate=2.0)
         with pytest.raises(ProblemError, match="requests"):
             SweepGrid(requests=-1)
 
@@ -124,20 +128,18 @@ class TestSweepDeterminism:
         assert cell["report"] == report.to_dict()
 
     def test_per_request_engine_cells_match_batched(self):
+        # Every cell's report equals the reference model's replay of
+        # the same (topology, workload, policy, seed).
         batched = run_sweep(SMALL_GRID, workers=1)
-        per_request = run_sweep(
-            SweepGrid(
-                **{**SMALL_GRID.to_dict(),
-                   "topologies": tuple(SMALL_GRID.topologies),
-                   "workloads": tuple(SMALL_GRID.workloads),
-                   "policies": tuple(SMALL_GRID.policies),
-                   "seeds": tuple(SMALL_GRID.seeds),
-                   "engine": ENGINE_PER_REQUEST}
-            ),
-            workers=1,
-        )
-        for cell_b, cell_p in zip(batched["cells"], per_request["cells"]):
-            assert cell_b["report"] == cell_p["report"]
+        placement = solve_approximation(grid_problem(4))
+        for cell in batched["cells"]:
+            key = cell["cell"]
+            reference = reference_serve(
+                placement, WORKLOADS[key["workload"]](seed=key["seed"]),
+                SMALL_GRID.requests, policy=key["policy"],
+                config=ServeConfig(seed=key["seed"]),
+            )
+            assert cell["report"] == reference.to_dict()
 
 
 class TestSweepDocument:
@@ -224,10 +226,14 @@ class TestSweepCLI:
     def test_cli_serve_engine_flag(self, capsys):
         from repro.cli import main
 
-        status = main([
-            "serve", "--grid", "4", "--requests", "50",
-            "--engine", "per-request", "--json",
-        ])
-        assert status == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["completed"] == 50
+        # One engine, no selector flag: --engine is an argparse error.
+        for argv in (
+            ["serve", "--grid", "4"], ["adapt", "--grid", "4"], ["sweep"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--engine", "batched"])
+            assert exc.value.code == 2
+            assert "--engine" in capsys.readouterr().err
+        assert main(["serve", "--grid", "4", "--requests", "50",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["completed"] == 50
