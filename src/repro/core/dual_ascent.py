@@ -27,6 +27,31 @@ which matches the dual feasibility argument of Theorem 1.
 
 Determinism: clients and facilities are processed in their instance order
 (graph insertion order), so runs are exactly reproducible.
+
+Cost per event loop: O(active clients + new tight edges + tight sets of
+supported facilities), not O(clients × facilities).  It rests on one
+fact: every unfrozen client starts at 0 and gets the same ``step · jump``
+added on every loop, so all of them bid one shared ``level``, as the
+same float.  Hence
+
+* each client's facilities are sorted once by ``(c_ij, facility
+  order)``, and a cursor marks the first one it is not yet tight with;
+  the tight refresh advances cursors instead of rescanning, and adds
+  clients to each ``T[i]`` in client order, so set iteration order (and
+  with it every float sum) is the same as a full rescan's;
+* each client keeps its cheapest open server, updated with a strict
+  ``<`` on every opening, so the first of ``[producer] + admins`` wins
+  ties.  It costs no more than any ADMIN, so cursors need not skip
+  ADMINs: a client that can afford one freezes before its refresh;
+* the next client event is ``min_j min(open, next facility) − level``:
+  subtracting one float preserves order and ``ceil`` is monotone, so it
+  equals the per-client minimum;
+* a freeze touches only the facilities the client is tight with, and
+  facility payments are the same set-order sum over ``T[i]``, evaluated
+  only for facilities with at least ``M`` unfrozen tight clients.
+
+``tests/dual_ascent_reference.py`` keeps the per-pair loop as the oracle
+the suite compares against byte for byte.
 """
 
 from __future__ import annotations
@@ -55,20 +80,38 @@ class DualAscentConfig:
         rounds by ``max{c_ij} / U_α``, Sec. IV-B).
     span_threshold:
         ``M`` — SPAN-tight clients required before a paid facility becomes
-        ADMIN.  ``None`` defers to the instance's dissemination scale
-        (minimum 1).
+        ADMIN; at least 1.  ``None`` defers to the instance's
+        dissemination scale (minimum 1).
     max_rounds:
-        Safety valve; the ascent provably ends within
+        Safety valve, at least 1; the ascent provably ends within
         ``max c_ij / step + 1`` rounds, so hitting this raises.
+
+    Bad values raise :class:`~repro.errors.SolverError` here, at
+    construction, not deep inside a solve.
     """
 
     step: float = 1.0
     span_threshold: Optional[int] = 3
     max_rounds: int = 1_000_000
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise SolverError(
+                f"dual-ascent step must be finite and positive, got {self.step}"
+            )
+        if self.span_threshold is not None and self.span_threshold < 1:
+            raise SolverError(
+                "dual-ascent span_threshold must be None or at least 1, "
+                f"got {self.span_threshold}"
+            )
+        if self.max_rounds < 1:
+            raise SolverError(
+                f"dual-ascent max_rounds must be at least 1, got {self.max_rounds}"
+            )
+
     def resolved_threshold(self, instance: ConFLInstance) -> int:
         if self.span_threshold is not None:
-            return max(1, int(self.span_threshold))
+            return int(self.span_threshold)
         return max(1, int(round(instance.dissemination_scale)))
 
 
@@ -94,8 +137,6 @@ def dual_ascent(
     producer.  Facilities with infinite opening cost never open, so
     capacity is respected by construction.
     """
-    if config.step <= 0:
-        raise SolverError(f"dual-ascent step must be positive, got {config.step}")
     producer = instance.producer
     clients: List[Node] = list(instance.clients)
     facilities: List[Node] = [
@@ -106,16 +147,47 @@ def dual_ascent(
     connect = instance.connect_cost
     open_cost = instance.open_cost
     threshold = config.resolved_threshold(instance)
+    step = config.step
 
     alpha: Dict[Node, float] = {j: 0.0 for j in clients}
+    # The shared bid of every unfrozen client (see the module docstring).
+    level = 0.0
+    # Unfrozen clients, in client order.
+    active: List[Node] = list(clients)
     frozen: Set[Node] = set()
     target: Dict[Node, Node] = {}
     admins: List[Node] = []
-    admin_set: Set[Node] = set()
     # T[i]: clients that went tight with facility i while still bidding.
     tight: Dict[Node, Set[Node]] = {i: set() for i in facilities}
     # Payments toward f_i, locked in place when a contributor freezes.
     locked_payment: Dict[Node, float] = {i: 0.0 for i in facilities}
+    # Unfrozen members of T[i], and the facilities each client is tight
+    # with, so a freeze touches only its own tight edges.
+    active_count: Dict[Node, int] = {i: 0 for i in facilities}
+    tight_with: Dict[Node, List[Node]] = {j: [] for j in clients}
+    # Non-ADMIN facilities with at least M unfrozen tight clients (a
+    # dict, for a deterministic iteration order).
+    supported: Dict[Node, None] = {}
+    facility_rank = {i: rank for rank, i in enumerate(facilities)}
+    # Each client's facilities by (c_ij, facility order), their costs
+    # (closed by an infinite sentinel), and cursor[j]: the first one j
+    # is not yet tight with.
+    by_cost: Dict[Node, List[Node]] = {}
+    cost_order: Dict[Node, List[float]] = {}
+    cursor: Dict[Node, int] = {j: 0 for j in clients}
+    # Cheapest open server (ADMIN or producer) of each client; ties go
+    # to the first server in [producer] + admins order.
+    best_cost: Dict[Node, float] = {}
+    best_server: Dict[Node, Node] = {}
+    rows = [connect[i] for i in facilities]
+    for j in clients:
+        row = [costs[j] for costs in rows]
+        order = sorted(range(len(facilities)), key=row.__getitem__)
+        by_cost[j] = [facilities[k] for k in order]
+        cost_order[j] = [row[k] for k in order] + [math.inf]
+        best_cost[j] = connect[producer][j]
+        best_server[j] = producer
+    tight_edges = 0
 
     def facility_payment(i: Node) -> float:
         """Σ β_ij: live bids of unfrozen tight clients + locked payments."""
@@ -128,21 +200,12 @@ def dual_ascent(
         """FROZEN: stop j's bids, lock its β contributions, record target."""
         frozen.add(j)
         target[j] = server
-        for i in facilities:
-            if j in tight[i]:
-                locked_payment[i] += max(0.0, alpha[j] - connect[i][j])
-
-    def cheapest_open_server(j: Node) -> Optional[Node]:
-        """Best already-open server j can afford (ADMIN or producer)."""
-        best: Optional[Node] = None
-        best_cost = math.inf
-        candidates = [producer] + admins
-        for i in candidates:
-            cost = connect[i][j]
-            if alpha[j] >= cost and cost < best_cost:
-                best = i
-                best_cost = cost
-        return best
+        aj = alpha[j]
+        for i in tight_with[j]:
+            locked_payment[i] += max(0.0, aj - connect[i][j])
+            active_count[i] -= 1
+            if active_count[i] < threshold:
+                supported.pop(i, None)
 
     def rounds_to_next_event() -> int:
         """Idle rounds that can be skipped in one jump.
@@ -153,47 +216,34 @@ def dual_ascent(
         trajectory is identical if those rounds are applied at once.
         This event-driven jump is what keeps Algorithm 1 fast in practice
         (cf. Fig. 5) without changing any outcome.
+
+        All active clients bid ``level``, and ``x - level`` and the
+        round count are monotone in ``x``, so the nearest client event
+        is one subtraction from the cheapest cost any of them faces.
+        The facility at a cursor may be an ADMIN; that is harmless, as
+        the client's cheapest open server costs no more than it.
         """
-        step = config.step
-        best = math.inf
-        open_servers = [producer] + admins
-        for j in clients:
-            if j in frozen:
-                continue
-            aj = alpha[j]
-            nearest = math.inf
-            for i in open_servers:
-                gap = connect[i][j] - aj
-                if gap < nearest:
-                    nearest = gap
-            for i in facilities:
-                if i in admin_set or j in tight[i]:
-                    continue
-                gap = connect[i][j] - aj
-                if gap < nearest:
-                    nearest = gap
-            if nearest <= 0:
-                return 1
-            rounds_needed = max(1, math.ceil(nearest / step - 1e-12))
-            if rounds_needed < best:
-                best = rounds_needed
-        for i in facilities:
-            if i in admin_set:
-                continue
-            active_count = sum(1 for j in tight[i] if j not in frozen)
-            if active_count < threshold:
-                continue
+        nearest = math.inf
+        for j in active:
+            cost = best_cost[j]
+            if cost < nearest:
+                nearest = cost
+            cost = cost_order[j][cursor[j]]
+            if cost < nearest:
+                nearest = cost
+        best = max(1, math.ceil((nearest - level) / step - 1e-12))
+        if best == 1:
+            return 1
+        for i in supported:
             deficit = open_cost[i] - facility_payment(i)
             if deficit <= 0:
                 return 1
             rounds_needed = max(
-                1, math.ceil(deficit / (active_count * step) - 1e-12)
+                1, math.ceil(deficit / (active_count[i] * step) - 1e-12)
             )
             if rounds_needed < best:
                 best = rounds_needed
-        if not math.isfinite(best):
-            return 1
-        return int(best)
+        return best
 
     rounds = 0
     event_loops = 0
@@ -212,8 +262,8 @@ def dual_ascent(
             + obs.counter("dual_ascent.freezes.via_opening")
         )
         admins_base = float(obs.counter("dual_ascent.admins_opened"))
-    tight_edges = 0
-    while len(frozen) < len(clients):
+    traced_edges = 0
+    while active:
         jump = rounds_to_next_event()
         rounds += jump
         event_loops += 1
@@ -224,41 +274,47 @@ def dual_ascent(
                 f"dual ascent did not converge in {config.max_rounds} rounds"
             )
         # Line 18: raise bids of every active client (jumped in one step).
-        for j in clients:
-            if j not in frozen:
-                alpha[j] += config.step * jump
+        level += step * jump
+        for j in active:
+            alpha[j] = level
 
         # Conditions 1-2 (lines 21-26): connect to ADMIN / producer.
-        for j in clients:
-            if j in frozen:
-                continue
-            server = cheapest_open_server(j)
-            if server is not None:
-                freeze(j, server)
+        for j in active:
+            if best_cost[j] <= level:
+                freeze(j, best_server[j])
                 direct_freezes += 1
+        if len(frozen) > frozen_before:
+            active = [j for j in active if j not in frozen]
 
         # Lines 19-20: refresh tight sets (β, γ bids) of active clients.
-        for j in clients:
-            if j in frozen:
-                continue
-            aj = alpha[j]
-            for i in facilities:
-                if i not in admin_set and aj >= connect[i][j]:
-                    tight[i].add(j)
+        # No ADMIN is affordable here: a client that could afford one
+        # froze onto its cheapest open server just above.
+        for j in active:
+            k = cursor[j]
+            costs = cost_order[j]
+            facs = by_cost[j]
+            while costs[k] <= level:
+                i = facs[k]
+                k += 1
+                tight[i].add(j)
+                tight_with[j].append(i)
+                tight_edges += 1
+                active_count[i] += 1
+                if active_count[i] >= threshold:
+                    supported[i] = None
+            cursor[j] = k
 
         # Condition 3 (lines 27-45): open fully paid, well-supported
         # facilities.  Deterministic facility order; openings within a
         # round see the freezes caused by earlier openings.
-        for i in facilities:
-            if i in admin_set:
-                continue
-            active_tight = [j for j in tight[i] if j not in frozen]
-            if len(active_tight) < threshold:
+        for i in sorted(supported, key=facility_rank.__getitem__):
+            if active_count[i] < threshold:
                 continue
             if facility_payment(i) + 1e-12 < open_cost[i]:
                 continue
-            admin_set.add(i)
             admins.append(i)
+            del supported[i]
+            active_tight = [j for j in tight[i] if j not in frozen]
             if trace.enabled:
                 trace.instant(
                     "dual_ascent.admin_open",
@@ -273,14 +329,18 @@ def dual_ascent(
                 )
             for j in active_tight:
                 freeze(j, i)
+            for j, cost in connect[i].items():
+                if cost < best_cost[j]:
+                    best_cost[j] = cost
+                    best_server[j] = i
+        if len(admins) > admins_before:
+            active = [j for j in active if j not in frozen]
 
         # Per-iteration trace: the dual trajectory (bid levels, tight
         # edges, freezes, openings) as one instant event per event-loop
         # round.  Payload construction is gated so the default
         # NullTracer costs one attribute read per iteration.
         if trace.enabled:
-            total_tight = sum(len(t) for t in tight.values())
-            active_alpha = [alpha[j] for j in clients if j not in frozen]
             trace.instant(
                 "dual_ascent.round",
                 track="dual_ascent",
@@ -291,12 +351,12 @@ def dual_ascent(
                     "new_freezes": len(frozen) - frozen_before,
                     "admins": len(admins),
                     "new_admins": len(admins) - admins_before,
-                    "tight_edges": total_tight,
-                    "new_tight_edges": total_tight - tight_edges,
-                    "alpha_active_max": max(active_alpha, default=0.0),
+                    "tight_edges": tight_edges,
+                    "new_tight_edges": tight_edges - traced_edges,
+                    "alpha_active_max": level if active else 0.0,
                 },
             )
-            tight_edges = total_tight
+            traced_edges = tight_edges
 
         # Per-round convergence series (virtual time = round number):
         # the dual objective Σα, the freeze/opening census, and the

@@ -3,23 +3,38 @@
 The whole suite runs with the :mod:`repro.analysis.contracts` sanitizer
 enabled (unless the caller already set ``REPRO_SANITIZE``), so every
 dual ascent, chunk commit, and protocol session is invariant-checked,
-and every small serve replay is byte-compared with the event-loop
-reference model (:mod:`tests.serve_reference`).
+every small serve replay is byte-compared with the event-loop reference
+model (:mod:`tests.serve_reference`), and every small dual ascent with
+the per-pair reference loop (:mod:`tests.dual_ascent_reference`).
 """
 
 from __future__ import annotations
 
+import importlib
 import os
+import types
 
 os.environ.setdefault("REPRO_SANITIZE", "1")
 
 import pytest
 
 from repro.analysis import contracts
+from repro.core.dual_ascent import DualAscentConfig
 from repro.graphs import Graph, grid_graph, path_graph
 from repro.serve.engine import ServeEngine
 from repro.workloads import grid_problem
-from tests import serve_reference
+from tests import dual_ascent_reference, serve_reference
+
+#: Every module that calls ``dual_ascent`` through a module attribute.
+#: ``repro.exact.solver`` imports it from ``repro.core.dual_ascent`` at
+#: call time, so patching that module covers it.  (``import_module``:
+#: ``repro.core.dual_ascent`` as an attribute is the re-exported function.)
+DUAL_ASCENT_MODULE = importlib.import_module("repro.core.dual_ascent")
+DUAL_ASCENT_CALL_SITES = (
+    importlib.import_module("repro.core.approximation"),
+    importlib.import_module("repro.online.controller"),
+    DUAL_ASCENT_MODULE,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -47,6 +62,33 @@ def serve_reference_shadow(monkeypatch):
         return report
 
     monkeypatch.setattr(ServeEngine, "run", checked_run)
+
+
+@pytest.fixture(autouse=True)
+def dual_ascent_reference_shadow(monkeypatch):
+    """Shadow every dual ascent over at most ``SHADOW_MAX_CLIENTS``
+    clients on the reference loop while the sanitizer is on.
+
+    Wraps the ``dual_ascent`` binding of every call site in
+    ``DUAL_ASCENT_CALL_SITES`` (Alg. 1, the online controller and the
+    exact solver's warm start).  Module attributes are read per call so
+    tests can spy on the check or lower the cap.  The fixture's value
+    holds the wrapped implementation as ``solve``; a test may swap in a
+    perturbed ascent there to show the check catches it.
+    """
+    shadow = types.SimpleNamespace(solve=DUAL_ASCENT_MODULE.dual_ascent)
+    if not contracts.sanitize_enabled():
+        return shadow
+
+    def checked(instance, config=DualAscentConfig()):
+        result = shadow.solve(instance, config)
+        if len(instance.clients) <= dual_ascent_reference.SHADOW_MAX_CLIENTS:
+            dual_ascent_reference.shadow_check(instance, config, result)
+        return result
+
+    for module in DUAL_ASCENT_CALL_SITES:
+        monkeypatch.setattr(module, "dual_ascent", checked)
+    return shadow
 
 
 @pytest.fixture

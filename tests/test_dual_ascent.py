@@ -104,6 +104,34 @@ class TestDualAscent:
         with pytest.raises(SolverError):
             dual_ascent(instance, DualAscentConfig(step=0.0))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"step": math.nan},
+            {"step": math.inf},
+            {"step": -1.0},
+            {"span_threshold": 0},
+            {"span_threshold": -3},
+            {"max_rounds": 0},
+            {"max_rounds": -1},
+        ],
+        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_bad_config_rejected_at_construction(self, kwargs):
+        # Each of these used to fail late (nan: an untyped ValueError
+        # from math.ceil) or not at all (inf: everyone frozen onto the
+        # producer; span_threshold=-3: clamped to 1; max_rounds=0:
+        # "did not converge in 0 rounds").
+        with pytest.raises(SolverError):
+            DualAscentConfig(**kwargs)
+
+    def test_edge_config_accepted(self):
+        instance = build_confl_instance(grid_problem(3).new_state())
+        config = DualAscentConfig(step=1e-3, span_threshold=1, max_rounds=10**6)
+        assert set(dual_ascent(instance, config).assignment) == set(
+            instance.clients
+        )
+
     def test_high_threshold_opens_nothing_on_star(self):
         # Star: producer at hub; all leaves 1 hop from producer; with a
         # threshold above the leaf count no facility can open.
