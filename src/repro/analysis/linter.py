@@ -5,6 +5,11 @@ architecture pass (:mod:`repro.analysis.imports`) and the hygiene pass
 (:mod:`repro.analysis.hygiene`), filters ``# repro: noqa=<rule>``
 suppressions, and renders one per-rule report.
 
+It also checks the spec files themselves: ``stale-spec-entry`` flags an
+entry of ``docs/layering.toml`` or ``docs/determinism.toml`` that names
+no module or package of the linted tree (a deleted or renamed module
+whose allowlist or layer row would otherwise pass silently).
+
 Defaults resolve against the installed package: the lint target is the
 ``repro`` package directory itself and the spec is ``docs/layering.toml``
 found by walking up from the package to the repository root, so plain
@@ -37,6 +42,7 @@ from repro.analysis.spec import (
     LayeringSpec,
     load_determinism_spec,
     load_spec,
+    strip_comment,
 )
 from repro.errors import ProblemError
 
@@ -152,6 +158,9 @@ def lint_modules(
     violations: List[Violation] = []
     if "architecture" in families:
         violations.extend(check_architecture(list(modules), spec))
+        violations.extend(
+            check_spec_entries(modules, spec.source, spec.entries())
+        )
     if "hygiene" in families:
         violations.extend(check_hygiene(list(modules), spec))
     det_requested = [f for f in families if f in DET_FAMILIES]
@@ -162,6 +171,12 @@ def lint_modules(
             + ", ".join(det_requested)
         )
     elif det_spec is not None:
+        if det_requested:
+            violations.extend(
+                check_spec_entries(
+                    modules, det_spec.source, det_spec.entries()
+                )
+            )
         if "determinism" in families:
             violations.extend(check_determinism(list(modules), det_spec))
         if "rngflow" in families:
@@ -179,6 +194,47 @@ def lint_modules(
         suppressed=suppressed,
         notes=tuple(run_notes),
     )
+
+
+def check_spec_entries(
+    modules: Sequence[SourceModule], source: str, names: Sequence[str]
+) -> List[Violation]:
+    """``stale-spec-entry``: each of ``names`` (the entries of the spec
+    file ``source``) that is neither a linted module nor a package
+    prefix of one.  A spec built in memory (no ``source``) has no file
+    entries to go stale and is skipped."""
+    if not source:
+        return []
+    known = set()
+    for module in modules:
+        parts = module.name.split(".")
+        known.update(".".join(parts[:cut]) for cut in range(1, len(parts) + 1))
+    try:
+        lines = Path(source).read_text(encoding="utf-8").splitlines()
+    except OSError:
+        lines = []
+    return [
+        Violation(
+            "stale-spec-entry",
+            source,
+            _entry_line(lines, name),
+            f"{name} names no module or package in the linted tree; "
+            "remove or rename the entry",
+        )
+        for name in names
+        if name not in known
+    ]
+
+
+def _entry_line(lines: Sequence[str], name: str) -> int:
+    """1-based line of the first non-comment mention of ``name``, as a
+    quoted string or a bare key; 1 when not found."""
+    quoted = f'"{name}"'
+    for lineno, line in enumerate(lines, start=1):
+        code = strip_comment(line).strip()
+        if quoted in code or code.split("=", 1)[0].strip() == name:
+            return lineno
+    return 1
 
 
 def lint_package(

@@ -55,6 +55,20 @@ class LayeringSpec:
     unseeded_random_scope: Tuple[str, ...] = ()
     float_equality_scope: Tuple[str, ...] = ()
     wallclock_exempt: Tuple[str, ...] = ()
+    #: File the spec was loaded from ("" for a spec built in memory).
+    source: str = ""
+
+    def entries(self) -> Tuple[str, ...]:
+        """Every module or package name the spec mentions, deduplicated
+        in first-mention order."""
+        names = [*self.layers, *self.stdlib_only, *self.layering_exempt]
+        for source, targets in self.forbidden.items():
+            names.append(source)
+            names.extend(targets)
+        names.extend(self.unseeded_random_scope)
+        names.extend(self.float_equality_scope)
+        names.extend(self.wallclock_exempt)
+        return tuple(dict.fromkeys(names))
 
     def layer_of(self, module: str) -> Optional[int]:
         """Layer of ``module`` by longest dotted-prefix match."""
@@ -121,6 +135,7 @@ def load_spec(path: Union[str, Path]) -> LayeringSpec:
         unseeded_random_scope=_str_tuple(hygiene.get("unseeded_random", [])),
         float_equality_scope=_str_tuple(hygiene.get("float_equality", [])),
         wallclock_exempt=_str_tuple(hygiene.get("wallclock_exempt", [])),
+        source=str(path),
     )
 
 
@@ -148,6 +163,15 @@ class DeterminismSpec:
     wallclock_allow: Tuple[str, ...] = ()
     env_allow: Tuple[str, ...] = ()
     blessed_seed_calls: Tuple[str, ...] = ()
+    #: File the contracts were loaded from ("" for an in-memory spec).
+    source: str = ""
+
+    def entries(self) -> Tuple[str, ...]:
+        """Every module or package name the contracts mention (the
+        ``[rng]`` helpers are callables, not modules), deduplicated in
+        first-mention order."""
+        names = [*self.modules, *self.wallclock_allow, *self.env_allow]
+        return tuple(dict.fromkeys(names))
 
     def contracts_of(self, module: str) -> Tuple[str, ...]:
         """Contracts of ``module`` by longest dotted-prefix match."""
@@ -218,6 +242,7 @@ def load_determinism_spec(path: Union[str, Path]) -> DeterminismSpec:
         wallclock_allow=_str_tuple(allowlist.get("wallclock", [])),
         env_allow=_str_tuple(allowlist.get("env", [])),
         blessed_seed_calls=_str_tuple(rng.get("blessed", [])),
+        source=str(path),
     )
 
 
@@ -274,7 +299,7 @@ def _logical_lines(text: str) -> List[Tuple[int, str]]:
     lines: List[Tuple[int, str]] = []
     pending: Optional[Tuple[int, str]] = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw_line).strip()
+        line = strip_comment(raw_line).strip()
         if pending is not None:
             start, joined = pending
             joined = joined + " " + line
@@ -309,7 +334,8 @@ def _bracket_balance(line: str) -> int:
     return balance
 
 
-def _strip_comment(line: str) -> str:
+def strip_comment(line: str) -> str:
+    """``line`` without its ``#`` comment (a ``#`` inside a string stays)."""
     in_string = False
     for index, char in enumerate(line):
         if char == '"':

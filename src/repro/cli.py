@@ -1,7 +1,6 @@
 """Command-line interface: experiments, single solves, and benchmarks.
 
-Installed as both ``repro`` and the legacy alias ``fair-caching``;
-``python -m repro`` works without installation.
+Installed as ``repro``; ``python -m repro`` works without installation.
 
 Examples
 --------

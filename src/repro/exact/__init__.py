@@ -3,7 +3,7 @@
 from repro.exact.brute_force import EnumerationResult, enumerate_optimal
 from repro.exact.ilp_formulation import ChunkModel, build_chunk_model
 from repro.exact.local_search import optimize_chunk_local
-from repro.exact.solver import solve_chunk_with_cuts, solve_exact, solve_exact_chunk
+from repro.exact.solver import solve_exact, solve_exact_chunk
 
 __all__ = [
     "ChunkModel",
@@ -11,7 +11,6 @@ __all__ = [
     "build_chunk_model",
     "enumerate_optimal",
     "optimize_chunk_local",
-    "solve_chunk_with_cuts",
     "solve_exact",
     "solve_exact_chunk",
 ]

@@ -1,8 +1,11 @@
-"""Solver backends translating :class:`~repro.ilp.model._MatrixForm` models.
+"""The HiGHS call behind :meth:`~repro.ilp.model.Model.solve`.
 
-Each backend returns a raw tuple ``(status, x, objective, nodes_explored)``
-with status in ``{"optimal", "infeasible", "unbounded"}``; the model layer
-turns that into exceptions / :class:`~repro.ilp.model.Solution`.
+:func:`solve_with_highs` hands a :class:`~repro.ilp.model._MatrixForm`
+to :func:`scipy.optimize.milp` and returns a raw tuple ``(status, x,
+objective, nodes_explored)`` with status in ``{"optimal", "infeasible",
+"unbounded"}``; the model layer turns that into exceptions /
+:class:`~repro.ilp.model.Solution`.  Any other HiGHS outcome (a time or
+iteration limit) raises :class:`~repro.errors.SolverError`.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import os
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
+
+from repro.errors import SolverError
 
 RawResult = Tuple[str, Optional[np.ndarray], Optional[float], int]
 
@@ -38,15 +43,6 @@ def _silence_native_stdout() -> Iterator[None]:
                 os.dup2(stdout_fd, 1)
     finally:
         os.close(stdout_fd)
-
-
-def highs_available() -> bool:
-    """True if scipy's MILP interface (HiGHS) can be imported."""
-    try:
-        from scipy.optimize import milp  # noqa: F401
-    except ImportError:  # pragma: no cover - scipy is a hard dependency here
-        return False
-    return True
 
 
 def solve_with_highs(form, time_limit: Optional[float] = None) -> RawResult:
@@ -89,28 +85,5 @@ def solve_with_highs(form, time_limit: Optional[float] = None) -> RawResult:
     if result.status == 3:
         return "unbounded", None, None, 0
     # Timeouts / iteration limits: surface the best message we have.
-    raise RuntimeError(f"HiGHS failed: {result.message}")
+    raise SolverError(f"HiGHS failed: {result.message}")
 
-
-def solve_with_branch_and_bound(
-    form,
-    time_limit: Optional[float] = None,
-    gap: float = 1e-9,
-    lp_engine: str = "scipy",
-) -> RawResult:
-    """Solve via our own branch-and-bound (:mod:`repro.ilp.branch_and_bound`)."""
-    from repro.ilp.branch_and_bound import branch_and_bound
-
-    result = branch_and_bound(
-        c=form.c,
-        A_ub=form.A_ub,
-        b_ub=form.b_ub,
-        A_eq=form.A_eq,
-        b_eq=form.b_eq,
-        bounds=form.bounds,
-        integrality=form.integrality,
-        gap=gap,
-        time_limit=time_limit,
-        lp_engine=lp_engine,
-    )
-    return result.status, result.x, result.objective, result.nodes_explored

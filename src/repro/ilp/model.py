@@ -2,18 +2,9 @@
 
 A drop-in, from-scratch replacement for the subset of PuLP the paper's
 brute-force evaluation needs (DESIGN.md §5): declare variables, add linear
-constraints, set an objective, call :meth:`Model.solve`.
-
-Two interchangeable MILP backends are provided:
-
-* ``"bnb"`` — our own branch-and-bound over LP relaxations
-  (:mod:`repro.ilp.branch_and_bound`), with the LP solved either by
-  :mod:`scipy.optimize.linprog` (default) or the pure-numpy simplex in
-  :mod:`repro.ilp.simplex`.
-* ``"highs"`` — :func:`scipy.optimize.milp` (the HiGHS solver bundled with
-  scipy), used as an independent cross-check.
-
-``backend="auto"`` prefers HiGHS and falls back to branch-and-bound.
+constraints, set an objective, call :meth:`Model.solve`, which flattens
+the model and solves it with :func:`scipy.optimize.milp` (the HiGHS
+solver bundled with scipy; see :mod:`repro.ilp.backends`).
 """
 
 from __future__ import annotations
@@ -24,6 +15,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import InfeasibleError, ModelError, UnboundedError
+from repro.ilp.backends import solve_with_highs
 from repro.ilp.expression import (
     BINARY,
     CONTINUOUS,
@@ -47,7 +39,6 @@ class Solution:
     status: str
     objective: float
     values: Dict[Variable, float]
-    backend: str
     nodes_explored: int = 0
 
     def value(self, item: Union[Variable, LinExpr]) -> float:
@@ -180,7 +171,7 @@ class Model:
     # Flattening
     # ------------------------------------------------------------------
     def to_matrix_form(self) -> _MatrixForm:
-        """Flatten to minimization-oriented matrices for the backends."""
+        """Flatten to minimization-oriented matrices for the solver."""
         n = len(self.variables)
         sign = 1.0 if self.sense == MINIMIZE else -1.0
         c = np.zeros(n)
@@ -235,54 +226,30 @@ class Model:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        backend: str = "auto",
-        time_limit: Optional[float] = None,
-        gap: float = 1e-9,
-        lp_engine: str = "scipy",
-    ) -> Solution:
-        """Solve the model and return a :class:`Solution`.
+    def solve(self, time_limit: Optional[float] = None) -> Solution:
+        """Solve the model with HiGHS and return a :class:`Solution`.
 
         Parameters
         ----------
-        backend:
-            ``"highs"``, ``"bnb"``, or ``"auto"`` (HiGHS when importable,
-            otherwise branch-and-bound).
         time_limit:
-            Optional wall-clock limit in seconds (best effort).
-        gap:
-            Absolute optimality gap tolerated by branch-and-bound.
-        lp_engine:
-            LP relaxation engine for ``"bnb"``: ``"scipy"`` or ``"simplex"``
-            (our pure-numpy implementation).
+            Optional wall-clock limit in seconds for HiGHS.
 
         Raises
         ------
         InfeasibleError / UnboundedError
             When the model is proven infeasible or unbounded.
+        SolverError
+            When HiGHS stops without a proven optimum (time or iteration
+            limit).
         """
-        from repro.ilp import backends
-
         form = self.to_matrix_form()
-        if backend == "auto":
-            backend = "highs" if backends.highs_available() else "bnb"
-        if backend == "highs":
-            raw = backends.solve_with_highs(form, time_limit=time_limit)
-        elif backend == "bnb":
-            raw = backends.solve_with_branch_and_bound(
-                form, time_limit=time_limit, gap=gap, lp_engine=lp_engine
-            )
-        else:
-            raise ModelError(f"unknown backend {backend!r}")
-
-        status, x, objective, nodes = raw
+        status, x, objective, nodes = solve_with_highs(
+            form, time_limit=time_limit
+        )
         if status == "infeasible":
             raise InfeasibleError(f"model {self.name!r} is infeasible")
         if status == "unbounded":
             raise UnboundedError(f"model {self.name!r} is unbounded")
-        if status != "optimal":
-            raise ModelError(f"solver returned unexpected status {status!r}")
 
         sign = 1.0 if self.sense == MINIMIZE else -1.0
         values = {var: float(x[var.index]) for var in self.variables}
@@ -295,6 +262,5 @@ class Model:
             status="optimal",
             objective=true_objective,
             values=values,
-            backend=backend,
             nodes_explored=nodes,
         )

@@ -1,0 +1,3 @@
+"""The one module the fixture specs may name."""
+
+VALUE = 1

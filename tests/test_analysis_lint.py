@@ -173,6 +173,28 @@ class TestArchitectureRules:
         (violation,) = bad.violations
         assert violation.path.endswith("stray.py")
 
+    def lint_with_spec_files(self, package: str):
+        root = FIXTURES / package
+        return run_lint(
+            root,
+            spec_path=root / "layering.toml",
+            det_spec_path=root / "determinism.toml",
+        )
+
+    def test_stale_spec_entry_pair(self):
+        ok = self.lint_with_spec_files("arch_stale_ok")
+        assert ok.ok, ok.render()
+        bad = self.lint_with_spec_files("arch_stale_bad")
+        assert rules_of(bad) == {"stale-spec-entry"}, bad.render()
+        flagged = {
+            (Path(v.path).name, v.line, v.message.split()[0])
+            for v in bad.violations
+        }
+        assert flagged == {
+            ("layering.toml", 7, "arch_stale_bad.gone"),
+            ("determinism.toml", 10, "arch_stale_bad.removed"),
+        }
+
     def test_lazy_imports_are_exempt_from_layering(self, tmp_path):
         pkg = tmp_path / "lazydemo"
         pkg.mkdir()

@@ -1,19 +1,19 @@
 """Cross-checks of the exact solvers: ILP vs enumeration vs local search.
 
-These are the correctness anchors of the whole reproduction: four
-independent solution paths (HiGHS MILP, our branch-and-bound MILP, subset
-enumeration with exact Dreyfus–Wagner trees, and the local search) must
-agree on small instances.
+These are the correctness anchors of the whole reproduction: three
+independent solution paths (the HiGHS MILP, subset enumeration with exact
+Dreyfus–Wagner trees, and the local search) must agree on small
+instances.
 """
 
 import pytest
 
 from repro.core import CachingProblem, build_confl_instance, solve_approximation
+from repro.errors import SolverError
 from repro.exact import (
     build_chunk_model,
     enumerate_optimal,
     optimize_chunk_local,
-    solve_chunk_with_cuts,
     solve_exact,
 )
 from repro.graphs import cycle_graph, grid_graph, path_graph, star_graph
@@ -48,47 +48,26 @@ class TestExactAgreement:
                 state.cache(node, chunk)
 
     def test_enumeration_matches_milp(self, problem):
+        # Every chunk, so that chunks after the first are checked with
+        # the real fairness opening costs f_i of non-empty storage.
         state = problem.new_state()
-        instance = build_confl_instance(state)
-        enum = enumerate_optimal(instance)
-        chunk_model = build_chunk_model(instance, connectivity="multiflow")
-        solution = chunk_model.model.solve(backend="highs")
-        assert solution.objective == pytest.approx(
-            enum.objective, abs=EPSILON_SLACK
-        )
+        for chunk in problem.chunks:
+            instance = build_confl_instance(state)
+            enum = enumerate_optimal(instance)
+            solution = build_chunk_model(instance).model.solve()
+            assert solution.objective == pytest.approx(
+                enum.objective, abs=EPSILON_SLACK
+            )
+            for node in enum.caches:
+                state.cache(node, chunk)
 
 
 class TestMilpEncodings:
-    def test_flow_equals_multiflow(self):
-        problem = CachingProblem(graph=path_graph(5), producer=0, num_chunks=1)
-        instance = build_confl_instance(problem.new_state())
-        objectives = []
-        for mode in ("flow", "multiflow"):
-            model = build_chunk_model(instance, connectivity=mode)
-            objectives.append(model.model.solve(backend="highs").objective)
-        assert objectives[0] == pytest.approx(objectives[1], abs=1e-6)
-
-    def test_cut_generation_matches(self):
-        problem = CachingProblem(graph=star_graph(5), producer=0, num_chunks=1)
-        instance = build_confl_instance(problem.new_state())
-        enum = enumerate_optimal(instance)
-        _, _, _, obj = solve_chunk_with_cuts(instance, backend="highs")
-        assert obj == pytest.approx(enum.objective, abs=EPSILON_SLACK)
-
-    def test_bnb_backend_matches_highs(self):
-        problem = CachingProblem(graph=path_graph(4), producer=0, num_chunks=1)
-        instance = build_confl_instance(problem.new_state())
-        model_a = build_chunk_model(instance, connectivity="multiflow")
-        model_b = build_chunk_model(instance, connectivity="multiflow")
-        obj_highs = model_a.model.solve(backend="highs").objective
-        obj_bnb = model_b.model.solve(backend="bnb").objective
-        assert obj_bnb == pytest.approx(obj_highs, abs=1e-6)
-
     def test_extract_consistency(self):
         problem = CachingProblem(graph=path_graph(5), producer=0, num_chunks=1)
         instance = build_confl_instance(problem.new_state())
-        chunk_model = build_chunk_model(instance, connectivity="multiflow")
-        solution = chunk_model.model.solve(backend="highs")
+        chunk_model = build_chunk_model(instance)
+        solution = chunk_model.model.solve()
         caches, assignment, edges = chunk_model.extract(solution)
         assert set(assignment) == set(instance.clients)
         for client, server in assignment.items():
@@ -112,18 +91,39 @@ class TestSolveExact:
                 <= appx.objective_value() + 1e-9
             )
 
-    def test_unknown_method_rejected(self):
-        from repro.errors import SolverError
+    def test_multiflow_placement_feasible(self):
+        problem = CachingProblem(graph=path_graph(5), producer=0, num_chunks=2)
+        placement = solve_exact(problem, method="multiflow")
+        placement.validate()
+        assert placement.algorithm == "bruteforce"
 
+    def test_unknown_method_rejected(self):
         problem = grid_problem(3, num_chunks=1)
-        with pytest.raises(SolverError):
-            solve_exact(problem, method="oracle")
+        for method in ("oracle", "flow", "cuts"):
+            with pytest.raises(SolverError):
+                solve_exact(problem, method=method)
 
     def test_enumeration_guard(self):
         problem = grid_problem(5, num_chunks=1)
         instance = build_confl_instance(problem.new_state())
         with pytest.raises(ValueError):
             enumerate_optimal(instance, max_facilities=10)
+
+
+class TestTimeLimit:
+    """A HiGHS time limit surfaces as SolverError, not a bare RuntimeError
+    (the 4×4 grid's first chunk needs far longer than half a second)."""
+
+    def test_model_time_limit_raises_solver_error(self):
+        problem = grid_problem(4, num_chunks=1)
+        model = build_chunk_model(build_confl_instance(problem.new_state())).model
+        with pytest.raises(SolverError, match="Time limit"):
+            model.solve(time_limit=0.5)
+
+    def test_solve_exact_time_limit_raises_solver_error(self):
+        problem = grid_problem(4, num_chunks=1)
+        with pytest.raises(SolverError, match="Time limit"):
+            solve_exact(problem, method="multiflow", time_limit_per_chunk=0.5)
 
 
 class TestApproximationRatio:

@@ -1,11 +1,14 @@
-"""Unit tests for Model construction and solving (both backends)."""
+"""Unit tests for Model construction and solving (HiGHS)."""
 
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InfeasibleError, ModelError, UnboundedError
 from repro.ilp import MAXIMIZE, MINIMIZE, Model, lin_sum
-
-BACKENDS = ["highs", "bnb"]
 
 
 class TestConstruction:
@@ -67,114 +70,123 @@ class TestConstruction:
         assert m.num_constraints == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestSolving:
-    def test_simple_lp(self, backend):
+    def test_simple_lp(self):
         m = Model()
         x = m.continuous_var("x", upper=4)
         y = m.continuous_var("y", upper=3)
         m.add_constraint(x + y <= 5)
         m.set_objective(-(x + 2 * y))  # maximize x + 2y via minimize
-        sol = m.solve(backend=backend)
+        sol = m.solve()
         assert sol.objective == pytest.approx(-8.0)
 
-    def test_maximize_sense(self, backend):
+    def test_maximize_sense(self):
         m = Model(sense=MAXIMIZE)
         x = m.continuous_var("x", upper=10)
         m.set_objective(3 * x + 1)
-        sol = m.solve(backend=backend)
+        sol = m.solve()
         assert sol.objective == pytest.approx(31.0)
         assert sol.value(x) == pytest.approx(10.0)
 
-    def test_knapsack(self, backend):
+    def test_knapsack(self):
         m = Model(sense=MAXIMIZE)
         values = [6, 10, 12]
         weights = [1, 2, 3]
         x = [m.binary_var(f"x{i}") for i in range(3)]
         m.add_constraint(lin_sum(w * xi for w, xi in zip(weights, x)) <= 5)
         m.set_objective(lin_sum(v * xi for v, xi in zip(values, x)))
-        sol = m.solve(backend=backend)
+        sol = m.solve()
         assert sol.objective == pytest.approx(22.0)
         assert sol.value(x[1]) == 1.0 and sol.value(x[2]) == 1.0
 
-    def test_integer_rounding(self, backend):
+    def test_integer_rounding(self):
         m = Model()
         n = m.integer_var("n", lower=0, upper=10)
         m.add_constraint(2 * n >= 7)
         m.set_objective(n + 0.0)
-        sol = m.solve(backend=backend)
+        sol = m.solve()
         assert sol.value(n) == 4.0
 
-    def test_infeasible_raises(self, backend):
+    def test_infeasible_raises(self):
         m = Model()
         x = m.binary_var("x")
         m.add_constraint(x >= 2)
         m.set_objective(x + 0.0)
         with pytest.raises(InfeasibleError):
-            m.solve(backend=backend)
+            m.solve()
 
-    def test_unbounded_raises(self, backend):
+    def test_unbounded_raises(self):
         m = Model(sense=MAXIMIZE)
         x = m.continuous_var("x")  # lb 0, no ub
         m.set_objective(x + 0.0)
         with pytest.raises(UnboundedError):
-            m.solve(backend=backend)
+            m.solve()
 
-    def test_equality_constraints(self, backend):
+    def test_equality_constraints(self):
         m = Model()
         x = m.continuous_var("x")
         y = m.continuous_var("y")
         m.add_constraint(x + y == 4)
         m.add_constraint(x - y == 2)
         m.set_objective(x + y)
-        sol = m.solve(backend=backend)
+        sol = m.solve()
         assert sol.value(x) == pytest.approx(3.0)
         assert sol.value(y) == pytest.approx(1.0)
 
-    def test_solution_expression_value(self, backend):
+    def test_solution_expression_value(self):
         m = Model()
         x = m.binary_var("x")
         m.add_constraint(x >= 1)
         m.set_objective(x + 0.0)
-        sol = m.solve(backend=backend)
+        sol = m.solve()
         assert sol.value(2 * x + 1) == pytest.approx(3.0)
         assert sol[x] == 1.0
 
-    def test_objective_constant_only(self, backend):
+    def test_objective_constant_only(self):
         m = Model()
         x = m.binary_var("x")
         m.add_constraint(x <= 1)
         m.set_objective(42)
-        sol = m.solve(backend=backend)
+        sol = m.solve()
         assert sol.objective == pytest.approx(42.0)
 
-    def test_free_variable(self, backend):
+    def test_free_variable(self):
         m = Model()
         x = m.continuous_var("x", lower=None)
         m.add_constraint(x >= -5)
         m.set_objective(x + 0.0)
-        sol = m.solve(backend=backend)
+        sol = m.solve()
         assert sol.objective == pytest.approx(-5.0)
 
-
-class TestBackendSelection:
-    def test_auto_backend_solves(self):
+    def test_backend_keyword_rejected(self):
         m = Model()
         x = m.binary_var("x")
         m.set_objective(x + 0.0)
-        assert m.solve(backend="auto").status == "optimal"
+        with pytest.raises(TypeError):
+            m.solve(**{"backend": "highs"})
 
-    def test_unknown_backend_rejected(self):
-        m = Model()
-        x = m.binary_var("x")
-        m.set_objective(x + 0.0)
-        with pytest.raises(ModelError):
-            m.solve(backend="gurobi")
 
-    def test_bnb_with_simplex_engine(self):
-        m = Model(sense=MAXIMIZE)
-        x = [m.binary_var(f"x{i}") for i in range(4)]
-        m.add_constraint(lin_sum(x) <= 2)
-        m.set_objective(lin_sum((i + 1) * xi for i, xi in enumerate(x)))
-        sol = m.solve(backend="bnb", lp_engine="simplex")
-        assert sol.objective == pytest.approx(7.0)
+def _random_knapsack(seed: int):
+    """A random feasible 0/1 knapsack: (model, weights, values, cap)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 8))
+    m = Model(f"rand{seed}", sense=MAXIMIZE)
+    x = [m.binary_var(f"x{i}") for i in range(n)]
+    weights = rng.integers(1, 10, n)
+    values = rng.integers(1, 20, n)
+    cap = int(weights.sum() // 2) + 1
+    m.add_constraint(lin_sum(int(w) * xi for w, xi in zip(weights, x)) <= cap)
+    m.set_objective(lin_sum(int(v) * xi for v, xi in zip(values, x)))
+    return m, weights, values, cap
+
+
+@given(st.integers(min_value=0, max_value=500))
+@settings(max_examples=25, deadline=None)
+def test_highs_matches_enumeration_on_random_knapsacks(seed):
+    m, weights, values, cap = _random_knapsack(seed)
+    best = max(
+        int(np.dot(values, pick))
+        for pick in itertools.product((0, 1), repeat=len(weights))
+        if np.dot(weights, pick) <= cap
+    )
+    assert m.solve().objective == pytest.approx(best, abs=1e-6)
