@@ -17,7 +17,7 @@ def test_loss_resilience(benchmark):
         outcomes = {}
         for rate in (0.0, 0.2, 0.5, 0.8):
             outcome = solve_distributed(
-                problem, DistributedConfig(loss_rate=rate, loss_seed=42)
+                problem, DistributedConfig(loss_rate=rate, fault_seed=42)
             )
             outcome.placement.validate()  # always feasible
             outcomes[rate] = outcome

@@ -12,7 +12,7 @@ Regenerate a figure's data (fast mode trims sweeps)::
 Solve one instance and print the placement summary::
 
     repro solve --grid 6 --chunks 5 --algorithm appx
-    repro solve --random 60 --seed 7 --algorithm dist
+    repro solve --nodes 60 --seed 7 --algorithm dist
 
 Run the instrumented performance baseline and write it as JSON::
 
@@ -22,7 +22,7 @@ Run the instrumented performance baseline and write it as JSON::
 Gate a change against a committed baseline, and export an event trace::
 
     repro bench --quick --compare BENCH_PR3.json --threshold 25
-    repro solve --random 20 --algorithm dist --trace trace.json
+    repro solve --nodes 20 --algorithm dist --trace trace.json
 
 Record streaming telemetry (time series + histograms), export it as
 OpenMetrics text, and tail a running solve/serve/sweep live::
@@ -51,7 +51,7 @@ Run the closed-loop adaptive control plane against a drifting workload
 
     repro adapt --grid 4 --chunks 4 --capacity 2 --epoch-requests 1200
     repro adapt --grid 4 --workload shift --churn 2:5 --churn 3:10
-    repro serve --grid 4 --requests 7200 --adaptive --workload zipf
+    repro adapt --grid 4 --workload zipf --adaptive-policy moves-only
     repro sweep --topology grid:4 --adaptive off,hybrid --epochs 4
 
 Check the architecture/hygiene/determinism rules (and optionally types)::
@@ -64,18 +64,27 @@ Check the architecture/hygiene/determinism rules (and optionally types)::
 List everything available::
 
     repro list
+
+Every subcommand is one ``_cmd_*`` handler bound with ``set_defaults``;
+options several subcommands share are declared once, as parent parsers.
+Every input error raises :class:`~repro.errors.ProblemError`, which
+:func:`main` reports as one ``repro <command>: <message>`` line with
+exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
-from repro.errors import ProblemError
+from repro.errors import ProblemError, ReproError
 from repro.experiments import REGISTRY, run_algorithms, summarize
 from repro.experiments.report import render_table
-from repro.workloads import grid_problem, random_problem
+from repro.workloads import topology_problem
 
 _ALGO_ALIASES = {
     "appx": "Appx",
@@ -86,6 +95,17 @@ _ALGO_ALIASES = {
     "greedy": "Greedy",
 }
 
+#: What ``bench --quick`` runs: the solver gate (small), the serving-
+#: throughput gate (serve-scale, 200k batched requests), the fault-
+#: injection gate (dist-faults: loss + churn + retx) and the control-
+#: loop gate (adaptive-drift).
+_QUICK_SCENARIOS = ("small", "serve-scale", "dist-faults", "adaptive-drift")
+
+
+def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A parent parser: an option set several subcommands share."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -93,9 +113,82 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fair caching for peer data sharing (ICDCS 2017 "
         "reproduction)",
     )
+    parser.set_defaults(handler=None)
     sub = parser.add_subparsers(dest="command")
 
-    exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
+    def command(name: str, handler: Callable[[argparse.Namespace], int],
+                help_text: str,
+                *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, help=help_text, parents=list(parents))
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    sizing = _options()
+    sizing.add_argument("--chunks", type=int, default=5,
+                        help="distinct data chunks (default 5)")
+    sizing.add_argument("--capacity", type=int, default=5,
+                        help="chunk slots per node (default 5)")
+    topology = _options(sizing)
+    group = topology.add_mutually_exclusive_group(required=True)
+    group.add_argument("--grid", type=int, metavar="SIDE",
+                       help="SIDE x SIDE grid network")
+    group.add_argument("--nodes", type=int, metavar="N",
+                       help="connected random network with N nodes")
+    topology.add_argument(
+        "--seed", type=int, default=2017,
+        help="seed for the --nodes topology and, when serving, the "
+        "workload stream and the engine (default 2017)",
+    )
+    algorithm = _options()
+    algorithm.add_argument(
+        "--algorithm", default="appx",
+        choices=sorted(_ALGO_ALIASES) + sorted(_ALGO_ALIASES.values()),
+        help="placement algorithm (default appx)",
+    )
+    load = _options()
+    load.add_argument(
+        "--rate", type=float, default=None, metavar="R",
+        help="mean request arrivals per simulated second, network-wide "
+        "(default: the workload's)",
+    )
+    load.add_argument(
+        "--failure-rate", type=float, default=0.0, metavar="P",
+        help="probability each cache node is dead during a replay "
+        "(default 0; the producer never dies)",
+    )
+    replay = _options(load)
+    replay.add_argument(
+        "--policy", default="cheapest", metavar="NAME",
+        help="replica-selection policy (see `repro list`; default cheapest)",
+    )
+    replay.add_argument(
+        "--json", action="store_true",
+        help="print the report as JSON instead of a table",
+    )
+    trace = _options()
+    trace.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="record a structured event trace of the run and write it as "
+        "Chrome trace-event JSON (open in Perfetto / chrome://tracing)",
+    )
+    telemetry = _options(trace)
+    telemetry.add_argument(
+        "--series", nargs="?", const="SERIES.json", default=None,
+        metavar="PATH",
+        help="record ring-buffered time series + streaming histograms of "
+        "the run (parent process only for sweep) and write the "
+        "repro-series/1 artifact to PATH (default SERIES.json); the file "
+        "is rewritten atomically during the run, so `repro monitor PATH` "
+        "can tail it live",
+    )
+    telemetry.add_argument(
+        "--openmetrics", default=None, metavar="PATH",
+        help="also write the final metrics (counters, timers, gauges, "
+        "histograms) as OpenMetrics/Prometheus text exposition",
+    )
+
+    exp = command("experiment", _cmd_experiment,
+                  "regenerate a paper figure/table")
     exp.add_argument(
         "id", choices=sorted(REGISTRY) + ["all"],
         help="experiment id, or 'all'",
@@ -105,30 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="trimmed sweep sizes (what the benchmarks run)",
     )
 
-    solve = sub.add_parser("solve", help="solve one caching instance")
-    group = solve.add_mutually_exclusive_group(required=True)
-    group.add_argument("--grid", type=int, metavar="SIDE",
-                       help="SIDE x SIDE grid network")
-    group.add_argument("--random", type=int, metavar="NODES",
-                       help="connected random network with NODES nodes")
-    solve.add_argument("--chunks", type=int, default=5)
-    solve.add_argument("--capacity", type=int, default=5)
-    solve.add_argument("--seed", type=int, default=2017,
-                       help="seed for --random topologies")
-    solve.add_argument(
-        "--algorithm", default="appx",
-        choices=sorted(_ALGO_ALIASES) + sorted(_ALGO_ALIASES.values()),
-    )
+    solve = command("solve", _cmd_solve, "solve one caching instance",
+                    topology, algorithm, telemetry)
     solve.add_argument(
         "--show-map", action="store_true",
         help="print a per-node load map (grid topologies only)",
     )
-    solve.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a structured event trace and write it as Chrome "
-        "trace-event JSON (open in Perfetto / chrome://tracing)",
-    )
-    _add_series_flags(solve, "solve")
     faults = solve.add_argument_group(
         "fault injection (dist only)",
         "radio faults for the distributed protocol; any non-default "
@@ -160,13 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(repeatable; KIND is leave or join)",
     )
     faults.add_argument(
-        "--fault-seed", type=int, default=None, metavar="S",
-        help="fault-plane RNG seed (default: reuse the loss seed 0)",
+        "--fault-seed", type=int, default=0, metavar="S",
+        help="fault-plane RNG seed (default 0)",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the instrumented perf-baseline suite, write BENCH JSON",
+    bench = command(
+        "bench", _cmd_bench,
+        "run the instrumented perf-baseline suite, write BENCH JSON",
+        trace,
     )
     bench.add_argument(
         "--output", "-o", default="BENCH.json", metavar="PATH",
@@ -218,11 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         "counters stay exact regardless)",
     )
     bench.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a structured event trace of the bench run and write "
-        "it as Chrome trace-event JSON",
-    )
-    bench.add_argument(
         "--series", action="store_true",
         help="record ring-buffered time series + streaming histograms "
         "per run and embed each entry's repro-series/1 artifact in the "
@@ -234,26 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
         "exposition with scenario/algorithm labels",
     )
 
-    serve = sub.add_parser(
-        "serve",
-        help="replay a request workload against a solved placement",
-    )
-    group = serve.add_mutually_exclusive_group(required=True)
-    group.add_argument("--grid", type=int, metavar="SIDE",
-                       help="SIDE x SIDE grid network")
-    group.add_argument("--nodes", type=int, metavar="N",
-                       help="connected random network with N nodes")
-    serve.add_argument("--chunks", type=int, default=5)
-    serve.add_argument("--capacity", type=int, default=5)
-    serve.add_argument(
-        "--seed", type=int, default=2017,
-        help="seed for the topology, the workload stream, and the engine",
-    )
-    serve.add_argument(
-        "--algorithm", default="appx",
-        choices=sorted(_ALGO_ALIASES) + sorted(_ALGO_ALIASES.values()),
-        help="placement algorithm to serve from (default appx)",
-    )
+    serve = command("serve", _cmd_serve,
+                    "replay a request workload against a solved placement",
+                    topology, algorithm, replay, telemetry)
     serve.add_argument(
         "--requests", type=int, default=10_000, metavar="N",
         help="number of requests to replay (default 10000)",
@@ -262,73 +316,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload", default="zipf", metavar="NAME",
         help="request workload generator (see `repro list`; default zipf)",
     )
-    serve.add_argument(
-        "--policy", default="cheapest", metavar="NAME",
-        help="replica-selection policy (see `repro list`; default cheapest)",
-    )
-    serve.add_argument(
-        "--rate", type=float, default=None, metavar="R",
-        help="mean request arrivals per simulated second, network-wide "
-        "(default: the workload's)",
-    )
-    serve.add_argument(
-        "--failure-rate", type=float, default=0.0, metavar="P",
-        help="probability each cache node is dead for the replay "
-        "(default 0; the producer never dies)",
-    )
-    serve.add_argument(
-        "--json", action="store_true",
-        help="print the ServeReport as JSON instead of a table",
-    )
-    serve.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a structured event trace of the solve + replay and "
-        "write it as Chrome trace-event JSON",
-    )
-    serve.add_argument(
-        "--adaptive", nargs="?", const="hybrid", default=None,
-        metavar="POLICY",
-        help="run the closed adaptive control loop instead of a one-shot "
-        "replay: serve --epochs windows of --epoch-requests requests, "
-        "re-optimizing the placement between epochs under POLICY "
-        "(default hybrid; see `repro list`)",
-    )
-    serve.add_argument(
-        "--epochs", type=int, default=6, metavar="N",
-        help="control epochs with --adaptive (default 6)",
-    )
-    serve.add_argument(
-        "--epoch-requests", type=int, default=None, metavar="N",
-        help="requests per epoch with --adaptive (default: --requests "
-        "// --epochs; the --requests %% --epochs remainder is not "
-        "replayed)",
-    )
-    _add_series_flags(serve, "solve + replay")
 
-    adapt = sub.add_parser(
-        "adapt",
-        help="run the closed-loop adaptive control plane against a "
-        "drifting workload and compare it with the static placement",
-    )
-    group = adapt.add_mutually_exclusive_group(required=True)
-    group.add_argument("--grid", type=int, metavar="SIDE",
-                       help="SIDE x SIDE grid network")
-    group.add_argument("--nodes", type=int, metavar="N",
-                       help="connected random network with N nodes")
-    adapt.add_argument("--chunks", type=int, default=5)
-    adapt.add_argument("--capacity", type=int, default=5)
-    adapt.add_argument(
-        "--seed", type=int, default=2017,
-        help="seed for the topology, the workload stream, and the engine",
+    adapt = command(
+        "adapt", _cmd_adapt,
+        "run the closed-loop adaptive control plane against a drifting "
+        "workload and compare it with the static placement",
+        topology, replay, telemetry,
     )
     adapt.add_argument(
         "--workload", default="shift", metavar="NAME",
         help="request workload generator (see `repro list`; default "
         "shift — stationary workloads adapt to nothing by design)",
-    )
-    adapt.add_argument(
-        "--policy", default="cheapest", metavar="NAME",
-        help="replica-selection policy for the replays (default cheapest)",
     )
     adapt.add_argument(
         "--adaptive-policy", default="hybrid", metavar="NAME",
@@ -377,41 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
         "adaptive and the static side (repeatable)",
     )
     adapt.add_argument(
-        "--rate", type=float, default=None, metavar="R",
-        help="mean request arrivals per simulated second (default: the "
-        "workload's)",
-    )
-    adapt.add_argument(
         "--shift-period", type=float, default=None, metavar="S",
         help="popularity reshuffle period for the shift workload, in "
         "simulated seconds (default: epoch duration = epoch-requests / "
         "rate, one shift per epoch)",
     )
     adapt.add_argument(
-        "--failure-rate", type=float, default=0.0, metavar="P",
-        help="probability each cache node is dead during replays "
-        "(default 0)",
-    )
-    adapt.add_argument(
-        "--json", action="store_true",
-        help="print the repro-adaptive/1 report as JSON instead of the "
-        "epoch ledger",
-    )
-    adapt.add_argument(
         "--output", "-o", default=None, metavar="PATH",
         help="also write the repro-adaptive/1 JSON document to PATH",
     )
-    adapt.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a structured event trace of the whole control loop "
-        "and write it as Chrome trace-event JSON",
-    )
-    _add_series_flags(adapt, "control loop")
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="fan a serve grid across worker processes, write "
-        "repro-sweep/1 JSON",
+    sweep = command(
+        "sweep", _cmd_sweep,
+        "fan a serve grid across worker processes, write repro-sweep/1 JSON",
+        sizing, algorithm, load, telemetry,
     )
     sweep.add_argument(
         "--topology", action="append", metavar="KIND:N", default=None,
@@ -435,21 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests per cell (default 10000)",
     )
     sweep.add_argument(
-        "--algorithm", default="appx",
-        choices=sorted(_ALGO_ALIASES) + sorted(_ALGO_ALIASES.values()),
-        help="placement algorithm every cell serves from (default appx)",
-    )
-    sweep.add_argument(
-        "--rate", type=float, default=None, metavar="R",
-        help="mean arrivals per simulated second (default: per workload)",
-    )
-    sweep.add_argument(
-        "--failure-rate", type=float, default=0.0, metavar="P",
-        help="cache-death probability per cell (default 0)",
-    )
-    sweep.add_argument("--chunks", type=int, default=5)
-    sweep.add_argument("--capacity", type=int, default=5)
-    sweep.add_argument(
         "--adaptive", default="off", metavar="A,B",
         help="comma-separated adaptive axis: off and/or adaptive control "
         "policies (static, moves-only, resolve-only, hybrid); adaptive "
@@ -468,17 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", "-o", default="SWEEP.json", metavar="PATH",
         help="where to write the repro-sweep/1 JSON document",
     )
-    sweep.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a structured event trace of the sweep (parent "
-        "process only) and write it as Chrome trace-event JSON",
-    )
-    _add_series_flags(sweep, "sweep (parent process only)")
 
-    monitor = sub.add_parser(
-        "monitor",
-        help="tail a running solve/serve/sweep via its --series snapshot "
-        "file and render a live convergence/throughput view",
+    monitor = command(
+        "monitor", _cmd_monitor,
+        "tail a running solve/serve/sweep via its --series snapshot file "
+        "and render a live convergence/throughput view",
     )
     monitor.add_argument(
         "path", metavar="PATH",
@@ -499,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
         "after S seconds (default: wait forever)",
     )
 
-    lint = sub.add_parser(
-        "lint",
-        help="check architecture layering, code hygiene, determinism "
+    lint = command(
+        "lint", _cmd_lint,
+        "check architecture layering, code hygiene, determinism "
         "contracts, and (optionally) types",
     )
     lint.add_argument(
@@ -542,8 +498,112 @@ def build_parser() -> argparse.ArgumentParser:
         "exit code)",
     )
 
-    sub.add_parser("list", help="list experiments and algorithms")
+    command("list", _cmd_list, "list experiments and algorithms")
     return parser
+
+
+def _lookup(registry: Mapping[str, Any], name: str, what: str) -> Any:
+    """``registry[name]``, or a :class:`ProblemError` naming the choices."""
+    if name not in registry:
+        raise ProblemError(
+            f"unknown {what} {name!r}; choose from {sorted(registry)}"
+        )
+    return registry[name]
+
+
+def _split(text: str) -> Tuple[str, ...]:
+    """The non-empty, stripped items of a comma-separated option."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _problem(args: argparse.Namespace) -> Tuple[Any, str]:
+    """The ``--grid``/``--nodes`` problem and its report label."""
+    if args.grid is not None:
+        kind, size = "grid", args.grid
+        label = f"{args.grid}x{args.grid} grid"
+    else:
+        kind, size = "random", args.nodes
+        label = f"random network ({args.nodes} nodes, seed {args.seed})"
+    problem = topology_problem(
+        kind, size, args.seed, num_chunks=args.chunks, capacity=args.capacity
+    )
+    return problem, label
+
+
+def _parse_churn(
+    specs: Optional[Sequence[str]], form: str, fields: Sequence[Callable]
+) -> Tuple[tuple, ...]:
+    """Each repeatable ``--churn`` spec, split on ``:`` and converted
+    field by field; ``form`` names the expected shape in the error."""
+    entries = []
+    for spec in specs or ():
+        parts = spec.split(":")
+        try:
+            if len(parts) != len(fields):
+                raise ValueError(spec)
+            entries.append(tuple(f(part) for f, part in zip(fields, parts)))
+        except ValueError:
+            raise ProblemError(
+                f"--churn expects {form}, got {spec!r}"
+            ) from None
+    return tuple(entries)
+
+
+@contextlib.contextmanager
+def _telemetry(
+    trace_path: Optional[str],
+    series_path: Optional[str] = None,
+    metrics_path: Optional[str] = None,
+) -> Iterator[None]:
+    """Install the ``--trace`` tracer and the ``--series`` /
+    ``--openmetrics`` recorder for the body; write their files when it
+    exits normally.
+
+    With every path ``None`` nothing is installed: tracing stays a
+    NullTracer and the recorder a zero-cost NullRecorder.
+    """
+    from repro.obs import (
+        SeriesConfig,
+        SeriesRecorder,
+        Tracer,
+        use_recorder,
+        use_tracer,
+    )
+
+    tracer = Tracer() if trace_path is not None else None
+    recorder = None
+    if series_path is not None or metrics_path is not None:
+        recorder = SeriesRecorder(SeriesConfig(snapshot_path=series_path))
+    with contextlib.ExitStack() as stack:
+        if tracer is not None:
+            stack.enter_context(use_tracer(tracer))
+        if recorder is not None:
+            stack.enter_context(use_recorder(recorder))
+        yield
+    if tracer is not None:
+        from repro.obs.manifest import build_manifest
+
+        tracer.write(trace_path, manifest=build_manifest())
+        suffix = ""
+        if tracer.dropped:
+            suffix = f" ({tracer.dropped} events dropped; ring buffer full)"
+        print(f"wrote trace {trace_path}: {len(tracer.events)} events{suffix}")
+    if recorder is None:
+        return
+    recorder.finalize()
+    dump = recorder.dump()
+    # Status lines go to stderr: `repro serve --json > report.json`
+    # must stay machine-parseable even with --series/--openmetrics.
+    if series_path is not None:
+        print(f"wrote series {series_path}: {len(dump['series'])} series, "
+              f"{len(dump['histograms'])} histograms "
+              f"(tail live with `repro monitor {series_path}`)",
+              file=sys.stderr)
+    if metrics_path is not None:
+        from repro.obs import write_openmetrics
+
+        write_openmetrics(dump, metrics_path)
+        print(f"wrote openmetrics {metrics_path}", file=sys.stderr)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -557,26 +617,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.grid is not None:
-        problem = grid_problem(
-            args.grid, num_chunks=args.chunks, capacity=args.capacity
-        )
-        label = f"{args.grid}x{args.grid} grid"
-    else:
-        problem, _ = random_problem(
-            args.random, seed=args.seed, num_chunks=args.chunks,
-            capacity=args.capacity,
-        )
-        label = f"random network ({args.random} nodes, seed {args.seed})"
+    problem, label = _problem(args)
     name = _ALGO_ALIASES.get(args.algorithm, args.algorithm)
     fault_config = _parse_fault_config(args)
     if fault_config is not None and name != "Dist":
-        print("fault-injection flags require --algorithm dist",
-              file=sys.stderr)
-        return 2
+        raise ProblemError("fault-injection flags require --algorithm dist")
     outcome = None
-    with _maybe_series(args) as series_rec, \
-            _maybe_trace(args.trace) as tracer:
+    with _telemetry(args.trace, args.series, args.openmetrics):
         if fault_config is not None:
             from repro.distributed import solve_distributed
             from repro.errors import SimulationError
@@ -586,13 +633,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             except SimulationError as exc:
                 # Bad churn kind / unknown node / producer churn: user
                 # input, not a solver bug.
-                print(f"solve: {exc}", file=sys.stderr)
-                return 2
+                raise ProblemError(str(exc)) from exc
             placement = outcome.placement
         else:
             placement = run_algorithms(problem, [name])[name]
-    _write_trace(tracer, args.trace)
-    _write_series(series_rec, args)
     s = summarize(name, placement)
     print(f"{name} on {label}: {problem.num_chunks} chunks, "
           f"capacity {args.capacity}")
@@ -623,7 +667,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     for chunk in placement.chunks:
         print(f"chunk {chunk.chunk}: cached at "
               f"{sorted(chunk.caches, key=str)}")
-    if getattr(args, "show_map", False):
+    if args.show_map:
         if args.grid is None:
             print("\n--show-map requires a --grid topology")
         else:
@@ -644,28 +688,15 @@ def _parse_fault_config(args: argparse.Namespace):
         return None
     from repro.distributed import DistributedConfig
 
-    churn = []
-    for spec in args.churn or ():
-        parts = spec.split(":")
-        if len(parts) != 3:
-            print(f"--churn expects T:NODE:KIND, got {spec!r}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        time_text, node_text, kind = parts
-        try:
-            time = float(time_text)
-            node = int(node_text)
-        except ValueError:
-            print(f"--churn expects a float time and integer node, "
-                  f"got {spec!r}", file=sys.stderr)
-            raise SystemExit(2)
-        churn.append((time, node, kind))
     return DistributedConfig(
         loss_rate=args.loss_rate,
         jitter=args.jitter,
         retx_timeout=args.retx_timeout,
         max_retries=args.max_retries,
-        churn_schedule=tuple(churn),
+        churn_schedule=_parse_churn(
+            args.churn, "T:NODE:KIND with a float time and integer node",
+            (float, int, str),
+        ),
         fault_seed=args.fault_seed,
     )
 
@@ -681,61 +712,48 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         run_bench,
         write_bench,
     )
+    from repro.obs.compare import (
+        DEFAULT_MIN_ABS_SECONDS,
+        compare_bench,
+        load_bench,
+    )
 
     repeats = args.repeats
     if repeats is None:
         repeats = 1 if args.quick else 3
     if repeats < 1:
-        print("--repeats must be >= 1", file=sys.stderr)
-        return 2
+        raise ProblemError(f"--repeats must be >= 1, got {repeats}")
     if args.quick and (args.nodes is not None or args.scenario):
-        print("--quick and --nodes/--scenario are mutually exclusive",
-              file=sys.stderr)
-        return 2
+        raise ProblemError(
+            "--quick and --nodes/--scenario are mutually exclusive"
+        )
+    if args.nodes is not None and args.scenario:
+        raise ProblemError("--nodes and --scenario are mutually exclusive")
     if args.nodes is not None:
-        if args.scenario:
-            print("--nodes and --scenario are mutually exclusive",
-                  file=sys.stderr)
-            return 2
         scenarios = [BenchScenario(f"custom-{args.nodes}", args.nodes,
                                    seed=args.seed)]
-    elif args.quick:
-        # Smoke mode keeps the solver gate (small), the serving-
-        # throughput gate (serve-scale, 200k batched requests), and the
-        # fault-injection gate (dist-faults: loss + churn + retx).
-        scenarios = [
-            SUITE_BY_NAME["small"],
-            SUITE_BY_NAME["serve-scale"],
-            SUITE_BY_NAME["dist-faults"],
-            SUITE_BY_NAME["adaptive-drift"],
-        ]
-    elif args.scenario:
-        unknown = [name for name in args.scenario if name not in SUITE_BY_NAME]
-        if unknown:
-            print(f"unknown scenario(s) {unknown}; "
-                  f"choose from {sorted(SUITE_BY_NAME)}", file=sys.stderr)
-            return 2
-        scenarios = [SUITE_BY_NAME[name] for name in args.scenario]
     else:
-        scenarios = list(SUITE_BY_NAME.values())
-    algorithms = [
-        _ALGO_ALIASES.get(name.strip(), name.strip())
-        for name in args.algorithms.split(",")
-        if name.strip()
-    ]
-    unknown = [name for name in algorithms if name not in SOLVERS]
-    if unknown:
-        print(f"unknown algorithm(s) {unknown}; "
-              f"choose from {sorted(SOLVERS)}", file=sys.stderr)
-        return 2
+        names = _QUICK_SCENARIOS if args.quick else (
+            args.scenario or list(SUITE_BY_NAME)
+        )
+        scenarios = [_lookup(SUITE_BY_NAME, n, "scenario") for n in names]
+    algorithms = [_ALGO_ALIASES.get(n, n) for n in _split(args.algorithms)]
     if not algorithms:
-        print("no algorithms selected", file=sys.stderr)
-        return 2
-    with _maybe_trace(args.trace) as tracer:
+        raise ProblemError("no algorithms selected")
+    for name in algorithms:
+        _lookup(SOLVERS, name, "algorithm")
+    baseline = None
+    if args.compare is not None:
+        try:
+            baseline = load_bench(args.compare)
+        except (OSError, ValueError, ReproError) as exc:
+            raise ProblemError(
+                f"cannot load baseline {args.compare}: {exc}"
+            ) from exc
+    with _telemetry(args.trace):
         result = run_bench(
             scenarios, algorithms, repeats=repeats, series=args.series
         )
-    _write_trace(tracer, args.trace)
     write_bench(result, args.output)
     print(render_bench(result))
     print(f"\nwrote {args.output}")
@@ -756,20 +774,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 )
             return 3
         print(f"full-rebuild budget OK (<= {args.max_full_rebuilds})")
-    if args.compare is not None:
-        from repro.errors import ReproError
-        from repro.obs.compare import (
-            DEFAULT_MIN_ABS_SECONDS,
-            compare_bench,
-            load_bench,
-        )
-
-        try:
-            baseline = load_bench(args.compare)
-        except (OSError, ValueError, ReproError) as exc:
-            print(f"cannot load baseline {args.compare}: {exc}",
-                  file=sys.stderr)
-            return 2
+    if baseline is not None:
         min_abs = (
             DEFAULT_MIN_ABS_SECONDS
             if args.min_abs_seconds is None
@@ -788,53 +793,26 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported lazily: serve pulls in the solver + delay layers.
-    from repro.serve import (
-        SELECTION_POLICIES,
-        WORKLOADS,
-        ServeConfig,
-    )
+    from repro.serve import SELECTION_POLICIES, WORKLOADS, ServeConfig
     from repro.serve.engine import serve_placement
 
-    workload_cls = WORKLOADS.get(args.workload)
-    if workload_cls is None:
-        print(f"unknown workload {args.workload!r}; "
-              f"choose from {sorted(WORKLOADS)}", file=sys.stderr)
-        return 2
-    if args.policy not in SELECTION_POLICIES:
-        print(f"unknown policy {args.policy!r}; "
-              f"choose from {sorted(SELECTION_POLICIES)}", file=sys.stderr)
-        return 2
+    workload_cls = _lookup(WORKLOADS, args.workload, "workload")
+    _lookup(SELECTION_POLICIES, args.policy, "policy")
     if args.requests < 0:
-        print("--requests must be >= 0", file=sys.stderr)
-        return 2
-    if args.grid is not None:
-        problem = grid_problem(
-            args.grid, num_chunks=args.chunks, capacity=args.capacity
-        )
-        label = f"{args.grid}x{args.grid} grid"
-    else:
-        problem, _ = random_problem(
-            args.nodes, seed=args.seed, num_chunks=args.chunks,
-            capacity=args.capacity,
-        )
-        label = f"random network ({args.nodes} nodes, seed {args.seed})"
+        raise ProblemError(f"--requests must be >= 0, got {args.requests}")
+    problem, label = _problem(args)
     if args.rate is not None:
         workload = workload_cls(seed=args.seed, rate=args.rate)
     else:
         workload = workload_cls(seed=args.seed)
     config = ServeConfig(failure_rate=args.failure_rate, seed=args.seed)
     name = _ALGO_ALIASES.get(args.algorithm, args.algorithm)
-    if args.adaptive is not None:
-        return _serve_adaptive(args, problem, workload, config, label, name)
-    with _maybe_series(args) as series_rec, \
-            _maybe_trace(args.trace) as tracer:
+    with _telemetry(args.trace, args.series, args.openmetrics):
         placement = run_algorithms(problem, [name])[name]
         report = serve_placement(
             placement, workload, args.requests,
             policy=args.policy, config=config,
         )
-    _write_trace(tracer, args.trace)
-    _write_series(series_rec, args)
     if args.json:
         print(report.to_json())
     else:
@@ -845,86 +823,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_adaptive(
-    args: argparse.Namespace, problem, workload, config, label: str,
-    algorithm: str,
-) -> int:
-    """``repro serve --adaptive``: the closed loop instead of one replay."""
-    from repro.adaptive import ADAPTIVE_POLICIES, AdaptiveConfig, run_adaptive
-
-    if algorithm != "Appx":
-        print("--adaptive re-solves with Algorithm 1; it requires "
-              "--algorithm appx", file=sys.stderr)
-        return 2
-    if args.adaptive not in ADAPTIVE_POLICIES:
-        print(f"unknown adaptive policy {args.adaptive!r}; "
-              f"choose from {sorted(ADAPTIVE_POLICIES)}", file=sys.stderr)
-        return 2
-    epoch_requests = args.epoch_requests
-    if epoch_requests is None:
-        epoch_requests = args.requests // max(args.epochs, 1)
-        if epoch_requests < 1:
-            raise ProblemError(
-                f"--adaptive needs --requests >= --epochs to serve at "
-                f"least one request per epoch, got {args.requests} "
-                f"requests for {args.epochs} epochs"
-            )
-    adaptive_config = AdaptiveConfig(
-        epochs=args.epochs,
-        epoch_requests=epoch_requests,
-        policy=args.adaptive,
-        selection_policy=args.policy,
-        serve=config,
-    )
-    with _maybe_series(args) as series_rec, \
-            _maybe_trace(args.trace) as tracer:
-        report = run_adaptive(problem, workload, adaptive_config)
-    _write_trace(tracer, args.trace)
-    _write_series(series_rec, args)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(f"adaptive ({args.adaptive}) on {label}: "
-              f"{args.epochs} epochs x {epoch_requests} requests, "
-              f"workload {report.workload!r}, policy {report.selection_policy!r}")
-        print()
-        print(report.render())
-    return 0
-
-
 def _cmd_adapt(args: argparse.Namespace) -> int:
-    """``repro adapt``: the full-control closed loop with every knob."""
-    from repro.adaptive import ADAPTIVE_POLICIES, AdaptiveConfig, run_adaptive
+    """``repro adapt``: the closed adaptive control loop, every knob."""
+    from repro.adaptive import AdaptiveConfig, run_adaptive
     from repro.serve import SELECTION_POLICIES, WORKLOADS, ServeConfig
 
-    workload_cls = WORKLOADS.get(args.workload)
-    if workload_cls is None:
-        print(f"unknown workload {args.workload!r}; "
-              f"choose from {sorted(WORKLOADS)}", file=sys.stderr)
-        return 2
-    if args.policy not in SELECTION_POLICIES:
-        print(f"unknown policy {args.policy!r}; "
-              f"choose from {sorted(SELECTION_POLICIES)}", file=sys.stderr)
-        return 2
-    if args.adaptive_policy not in ADAPTIVE_POLICIES:
-        print(f"unknown adaptive policy {args.adaptive_policy!r}; "
-              f"choose from {sorted(ADAPTIVE_POLICIES)}", file=sys.stderr)
-        return 2
+    workload_cls = _lookup(WORKLOADS, args.workload, "workload")
+    _lookup(SELECTION_POLICIES, args.policy, "policy")
     if args.epoch_requests < 1:
         raise ProblemError(
             f"--epoch-requests must be >= 1, got {args.epoch_requests}"
         )
-    if args.grid is not None:
-        problem = grid_problem(
-            args.grid, num_chunks=args.chunks, capacity=args.capacity
-        )
-        label = f"{args.grid}x{args.grid} grid"
-    else:
-        problem, _ = random_problem(
-            args.nodes, seed=args.seed, num_chunks=args.chunks,
-            capacity=args.capacity,
-        )
-        label = f"random network ({args.nodes} nodes, seed {args.seed})"
+    problem, label = _problem(args)
 
     kwargs = {"seed": args.seed}
     if args.rate is not None:
@@ -940,27 +850,15 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
             )
         kwargs["shift_period"] = shift_period
     elif args.shift_period is not None:
-        print("--shift-period only applies to the shift workload",
-              file=sys.stderr)
-        return 2
+        raise ProblemError(
+            "--shift-period only applies to the shift workload"
+        )
     try:
         workload = workload_cls(**kwargs)
     except TypeError as exc:
-        print(f"workload {args.workload!r} rejected its arguments: {exc}",
-              file=sys.stderr)
-        return 2
-
-    churn = []
-    for spec in args.churn or ():
-        parts = spec.split(":")
-        try:
-            if len(parts) != 2:
-                raise ValueError(spec)
-            churn.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            print(f"--churn expects EPOCH:NODE with integers, got {spec!r}",
-                  file=sys.stderr)
-            return 2
+        raise ProblemError(
+            f"workload {args.workload!r} rejected its arguments: {exc}"
+        ) from exc
 
     config = AdaptiveConfig(
         epochs=args.epochs,
@@ -974,13 +872,12 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         selection_policy=args.policy,
         serve=ServeConfig(failure_rate=args.failure_rate, seed=args.seed),
         replacement=args.replacement,
-        churn_schedule=tuple(churn),
+        churn_schedule=_parse_churn(
+            args.churn, "EPOCH:NODE with integers", (int, int)
+        ),
     )
-    with _maybe_series(args) as series_rec, \
-            _maybe_trace(args.trace) as tracer:
+    with _telemetry(args.trace, args.series, args.openmetrics):
         report = run_adaptive(problem, workload, config)
-    _write_trace(tracer, args.trace)
-    _write_series(series_rec, args)
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report.to_json())
@@ -1009,16 +906,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_sweep,
     )
 
-    def _split(text: str) -> tuple:
-        return tuple(part.strip() for part in text.split(",") if part.strip())
-
     try:
         seeds = tuple(int(s) for s in _split(args.seeds))
     except ValueError:
-        print(f"--seeds must be comma-separated integers, got "
-              f"{args.seeds!r}", file=sys.stderr)
-        return 2
-    algorithm = _ALGO_ALIASES.get(args.algorithm, args.algorithm)
+        raise ProblemError(
+            f"--seeds must be comma-separated integers, got {args.seeds!r}"
+        ) from None
     grid = SweepGrid(
         topologies=tuple(args.topology or ("grid:6",)),
         workloads=_split(args.workloads),
@@ -1026,7 +919,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seeds=seeds,
         adaptive=_split(args.adaptive),
         epochs=args.epochs,
-        algorithm=algorithm,
+        algorithm=_ALGO_ALIASES.get(args.algorithm, args.algorithm),
         requests=args.requests,
         rate=args.rate,
         failure_rate=args.failure_rate,
@@ -1034,11 +927,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         capacity=args.capacity,
     )
     workers = resolve_workers(args.workers, len(grid.cells()))
-    with _maybe_series(args) as series_rec, \
-            _maybe_trace(args.trace) as tracer:
+    with _telemetry(args.trace, args.series, args.openmetrics):
         document = run_sweep(grid, workers=workers)
-    _write_trace(tracer, args.trace)
-    _write_series(series_rec, args)
     write_sweep(document, args.output)
     print(render_sweep(document))
     print(f"\nwrote {args.output} ({workers} worker"
@@ -1046,111 +936,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_series_flags(parser, what: str) -> None:
-    """The shared ``--series`` / ``--openmetrics`` flags (streaming
-    telemetry; see docs/OBSERVABILITY.md)."""
-    parser.add_argument(
-        "--series", nargs="?", const="SERIES.json", default=None,
-        metavar="PATH",
-        help=f"record ring-buffered time series + streaming histograms "
-        f"of the {what} and write the repro-series/1 artifact to PATH "
-        f"(default SERIES.json); the file is rewritten atomically during "
-        f"the run, so `repro monitor PATH` can tail it live",
-    )
-    parser.add_argument(
-        "--openmetrics", default=None, metavar="PATH",
-        help="also write the final metrics (counters, timers, gauges, "
-        "histograms) as OpenMetrics/Prometheus text exposition",
-    )
-
-
-def _maybe_series(args):
-    """Context manager installing a SeriesRecorder when ``--series`` or
-    ``--openmetrics`` is set.
-
-    Yields the recorder (or None); the default stays a zero-cost
-    NullRecorder.  Composes with ``_maybe_trace`` — they install into
-    independent slots.
-    """
-    import contextlib
-
-    series_path = getattr(args, "series", None)
-    metrics_path = getattr(args, "openmetrics", None)
-    if series_path is None and metrics_path is None:
-        return contextlib.nullcontext(None)
-    from repro.obs import SeriesConfig, SeriesRecorder, use_recorder
-
-    @contextlib.contextmanager
-    def _installed():
-        recorder = SeriesRecorder(SeriesConfig(snapshot_path=series_path))
-        with use_recorder(recorder):
-            yield recorder
-
-    return _installed()
-
-
-def _write_series(recorder, args) -> None:
-    """Finalize the snapshot and write the OpenMetrics exposition."""
-    if recorder is None:
-        return
-    recorder.finalize()
-    series_path = getattr(args, "series", None)
-    metrics_path = getattr(args, "openmetrics", None)
-    dump = recorder.dump()
-    # Status lines go to stderr: `repro serve --json > report.json`
-    # must stay machine-parseable even with --series/--openmetrics.
-    if series_path is not None:
-        print(f"wrote series {series_path}: {len(dump['series'])} series, "
-              f"{len(dump['histograms'])} histograms "
-              f"(tail live with `repro monitor {series_path}`)",
-              file=sys.stderr)
-    if metrics_path is not None:
-        from repro.obs import write_openmetrics
-
-        write_openmetrics(dump, metrics_path)
-        print(f"wrote openmetrics {metrics_path}", file=sys.stderr)
-
-
-def _maybe_trace(path: Optional[str]):
-    """Context manager installing a live Tracer when ``path`` is set.
-
-    Yields the tracer (or None), so callers can export after the solve
-    completes; tracing stays a NullTracer no-op without ``--trace``.
-    """
-    import contextlib
-
-    from repro.obs import Tracer, use_tracer
-
-    if path is None:
-        return contextlib.nullcontext(None)
-
-    @contextlib.contextmanager
-    def _installed():
-        tracer = Tracer()
-        with use_tracer(tracer):
-            yield tracer
-
-    return _installed()
-
-
-def _write_trace(tracer, path: Optional[str]) -> None:
-    if tracer is None or path is None:
-        return
-    from repro.obs.manifest import build_manifest
-
-    tracer.write(path, manifest=build_manifest())
-    suffix = ""
-    if tracer.dropped:
-        suffix = f" ({tracer.dropped} events dropped; ring buffer full)"
-    print(f"wrote trace {path}: {len(tracer.events)} events{suffix}")
-
-
 def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.obs.monitor import monitor_loop
 
     if args.interval <= 0:
-        print("--interval must be > 0", file=sys.stderr)
-        return 2
+        raise ProblemError(f"--interval must be > 0, got {args.interval}")
     try:
         return monitor_loop(
             args.path,
@@ -1226,56 +1016,39 @@ def _parse_lint_types(
     return families, run_mypy
 
 
+def _cmd_list(args: argparse.Namespace) -> int:
+    # Imported lazily, like every serve touchpoint in this module.
+    from repro.adaptive.policy import ADAPTIVE_POLICIES
+    from repro.online.replacement import REPLACEMENT_POLICIES
+    from repro.serve import SELECTION_POLICIES, WORKLOADS
+
+    print("experiments:", ", ".join(sorted(REGISTRY)))
+    print("algorithms:", ", ".join(sorted(_ALGO_ALIASES)))
+    print("workloads:", ", ".join(sorted(WORKLOADS)))
+    print("selection policies:", ", ".join(sorted(SELECTION_POLICIES)))
+    print("replacement policies:", ", ".join(sorted(REPLACEMENT_POLICIES)))
+    print("adaptive policies:", ", ".join(sorted(ADAPTIVE_POLICIES)))
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one command; exit 2 with a one-line message on bad input.
 
-    Every input error the library can detect (a negative rate, a 0x0
-    grid, an unknown lint family ...) raises :class:`ProblemError`;
-    it is reported here as ``repro <command>: <message>`` on stderr,
-    never as a traceback.
+    Every input error — a negative rate, a 0x0 grid, an unknown
+    workload, a malformed ``--churn`` ... — raises
+    :class:`ProblemError`; it is reported here as
+    ``repro <command>: <message>`` on stderr, never as a traceback.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.handler is None:
+        parser.print_help()
+        return 1
     try:
-        return _dispatch(parser, args)
+        return args.handler(args)
     except ProblemError as exc:
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "monitor":
-        return _cmd_monitor(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "adapt":
-        return _cmd_adapt(args)
-    if args.command == "list":
-        # Imported lazily, like every serve touchpoint in this module.
-        from repro.adaptive.policy import ADAPTIVE_POLICIES
-        from repro.online.replacement import REPLACEMENT_POLICIES
-        from repro.serve import SELECTION_POLICIES, WORKLOADS
-
-        print("experiments:", ", ".join(sorted(REGISTRY)))
-        print("algorithms:", ", ".join(sorted(_ALGO_ALIASES)))
-        print("workloads:", ", ".join(sorted(WORKLOADS)))
-        print("selection policies:", ", ".join(sorted(SELECTION_POLICIES)))
-        print("replacement policies:",
-              ", ".join(sorted(REPLACEMENT_POLICIES)))
-        print("adaptive policies:", ", ".join(sorted(ADAPTIVE_POLICIES)))
-        return 0
-    parser.print_help()
-    return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -41,7 +41,7 @@ machinery is provably absent when unused:
 ``LEGACY_LOSS``
     Only ``loss_rate`` is set (the pre-existing knob): unicast control
     messages (TIGHT / SPAN / FREEZE / NADMIN) are dropped with the
-    historical RNG stream (``random.Random(loss_seed * 1_000_003 +
+    historical RNG stream (``random.Random(fault_seed * 1_000_003 +
     chunk)``, one draw per unicast) while floods stay reliable —
     bit-compatible with the previous releases' loss injection.
 

@@ -103,7 +103,7 @@ class DistributedConfig:
         Arbitration window; must exceed the worst-case FREEZE delivery
         time (network diameter × ``hop_latency``) and stay well under
         ``tick_interval``.
-    loss_rate / loss_seed:
+    loss_rate:
         Failure injection: each *unicast* control message (TIGHT, SPAN,
         FREEZE, NADMIN) is independently dropped with this probability
         (seeded, deterministic).  With no other fault knob engaged,
@@ -133,8 +133,9 @@ class DistributedConfig:
     max_retries:
         Retry budget per message once ``retx_timeout`` is engaged.
     fault_seed:
-        Seed of the fault plane's RNG substream; ``None`` (default)
-        reuses ``loss_seed``.
+        Seed of the fault plane's RNG substream (loss, jitter and
+        retransmission draws; per chunk ``fault_seed * 1_000_003 +
+        chunk``).
 
     When ``jitter``, ``churn_schedule`` or ``retx_timeout`` is engaged,
     the plane runs in FULL mode: loss applies to every delivery
@@ -159,12 +160,11 @@ class DistributedConfig:
     promotion_latency: float = 0.05
     span_policy: str = "all"
     loss_rate: float = 0.0
-    loss_seed: int = 0
     jitter: float = 0.0
     churn_schedule: tuple = ()
     retx_timeout: float = 0.0
     max_retries: int = 3
-    fault_seed: Optional[int] = None
+    fault_seed: int = 0
 
 
 @dataclass
@@ -250,11 +250,7 @@ class ChunkSession:
             retx_timeout=config.retx_timeout,
             max_retries=config.max_retries,
             churn=config.churn_schedule,
-            seed=(
-                config.fault_seed
-                if config.fault_seed is not None
-                else config.loss_seed
-            ),
+            seed=config.fault_seed,
         )
         self.faults.start(set(self.nodes), self.producer)
 

@@ -237,20 +237,6 @@ class OnlineFairCache:
         for node in self.state.storage.holders(chunk):
             self.state.evict(node, chunk)
 
-    def _make_room(self) -> int:
-        """One :func:`make_room` round, tallied into the trace."""
-        freed = make_room(
-            self.state,
-            self.policy,
-            self._publish_seq,
-            replicas=self._replica_counts(),
-        )
-        self.trace.evictions += freed
-        return freed
-
-    def _replica_counts(self) -> Dict[int, int]:
-        return replica_counts(self.state)
-
     def _record(self, event: OnlineEvent) -> None:
         loads = [
             self.state.storage.used(n) for n in self.problem.clients

@@ -52,41 +52,14 @@ from repro.obs import get_recorder, get_tracer
 from repro.obs.manifest import build_manifest
 from repro.serve import SELECTION_POLICIES, WORKLOADS, ServeConfig
 from repro.serve.engine import serve_placement
-from repro.workloads import grid_problem, random_problem
+from repro.workloads import parse_topology, topology_problem
 
 SWEEP_SCHEMA = "repro-sweep/1"
 
 DEFAULT_SWEEP_REQUESTS = 10_000
 
-#: Topology kinds a sweep axis may name (``kind:size`` specs).
-TOPOLOGY_KINDS = ("grid", "random")
-
 #: The adaptive-axis value that keeps a cell a plain one-shot replay.
 ADAPTIVE_OFF = "off"
-
-
-def parse_topology(spec: str) -> Tuple[str, int]:
-    """Parse a ``kind:size`` topology spec (``grid:6``, ``random:30``).
-
-    ``grid:SIDE`` is the paper's SIDE × SIDE grid; ``random:NODES`` is a
-    connected random geometric network built with the *cell's* seed, so
-    the seed axis sweeps topologies too.
-    """
-    kind, _, size_text = spec.partition(":")
-    if kind not in TOPOLOGY_KINDS:
-        raise ProblemError(
-            f"unknown topology kind {kind!r} in {spec!r}; "
-            f"choose from {list(TOPOLOGY_KINDS)} (e.g. grid:6, random:30)"
-        )
-    try:
-        size = int(size_text)
-    except ValueError:
-        raise ProblemError(
-            f"topology {spec!r} needs an integer size (e.g. {kind}:6)"
-        ) from None
-    if size < 1:
-        raise ProblemError(f"topology size must be >= 1, got {spec!r}")
-    return kind, size
 
 
 @dataclass(frozen=True)
@@ -251,12 +224,9 @@ def _cell_placement(
     key = (topology, memo_seed, chunks, capacity, algorithm)
     placement = _PLACEMENT_MEMO.get(key)
     if placement is None:
-        if kind == "grid":
-            problem = grid_problem(size, num_chunks=chunks, capacity=capacity)
-        else:
-            problem, _ = random_problem(
-                size, seed=seed, num_chunks=chunks, capacity=capacity
-            )
+        problem = topology_problem(
+            kind, size, seed, num_chunks=chunks, capacity=capacity
+        )
         placement = SOLVERS[algorithm](problem)
         placement.validate()
         # Deliberate per-process memo: each fork keeps a private copy and
@@ -268,15 +238,10 @@ def _cell_placement(
 
 def _build_cell_problem(payload: Dict[str, Any]) -> Any:
     kind, size = parse_topology(payload["topology"])
-    if kind == "grid":
-        return grid_problem(
-            size, num_chunks=payload["chunks"], capacity=payload["capacity"]
-        )
-    problem, _ = random_problem(
-        size, seed=payload["seed"], num_chunks=payload["chunks"],
+    return topology_problem(
+        kind, size, payload["seed"], num_chunks=payload["chunks"],
         capacity=payload["capacity"],
     )
-    return problem
 
 
 def _build_cell_workload(payload: Dict[str, Any]) -> Any:

@@ -8,6 +8,10 @@ factories with seeded randomness for the sweeps:
 * producer node 9 ("Unless specified, node 9 is the data producer"),
 * grid networks (4-neighbor) and connected random geometric networks,
 * every node requests every chunk.
+
+:func:`topology_problem` is the one place that turns a topology kind
+(``grid`` or ``random``) and a size into a problem; the CLI and the
+sweep runner both build through it.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ Node = Hashable
 
 PAPER_PRODUCER = 9
 PAPER_NUM_CHUNKS = 5
+
+#: Topology kinds a ``kind:size`` spec may name.
+TOPOLOGY_KINDS = ("grid", "random")
 
 
 def grid_problem(
@@ -73,6 +80,54 @@ def random_problem(
         **kwargs,
     )
     return problem, positions
+
+
+def parse_topology(spec: str) -> Tuple[str, int]:
+    """Parse a ``kind:size`` topology spec (``grid:6``, ``random:30``).
+
+    ``grid:SIDE`` is the paper's SIDE × SIDE grid; ``random:NODES`` is a
+    connected random geometric network, built from the caller's seed.
+    """
+    kind, _, size_text = spec.partition(":")
+    if kind not in TOPOLOGY_KINDS:
+        raise ProblemError(
+            f"unknown topology kind {kind!r} in {spec!r}; "
+            f"choose from {list(TOPOLOGY_KINDS)} (e.g. grid:6, random:30)"
+        )
+    try:
+        size = int(size_text)
+    except ValueError:
+        raise ProblemError(
+            f"topology {spec!r} needs an integer size (e.g. {kind}:6)"
+        ) from None
+    if size < 1:
+        raise ProblemError(f"topology size must be >= 1, got {spec!r}")
+    return kind, size
+
+
+def topology_problem(
+    kind: str,
+    size: int,
+    seed: int,
+    num_chunks: int = PAPER_NUM_CHUNKS,
+    capacity: int = DEFAULT_CAPACITY,
+) -> CachingProblem:
+    """The problem on one topology of :data:`TOPOLOGY_KINDS`.
+
+    ``grid`` builds a ``size × size`` grid and ignores ``seed``;
+    ``random`` builds a connected random network of ``size`` nodes
+    from ``seed``.
+    """
+    if kind == "grid":
+        return grid_problem(size, num_chunks=num_chunks, capacity=capacity)
+    if kind == "random":
+        problem, _ = random_problem(
+            size, seed=seed, num_chunks=num_chunks, capacity=capacity
+        )
+        return problem
+    raise ProblemError(
+        f"unknown topology kind {kind!r}; choose from {list(TOPOLOGY_KINDS)}"
+    )
 
 
 def grid_sweep(

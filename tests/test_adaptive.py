@@ -548,13 +548,13 @@ class TestAdaptCLI:
             "adapt", "--grid", "4", "--churn", "nonsense",
         ]) == 2
 
-    def test_serve_adaptive_flag(self, capsys):
+    def test_adapt_shift_epochs(self, capsys):
         from repro.cli import main
 
         status = main([
-            "serve", "--grid", "4", "--chunks", "4", "--capacity", "2",
-            "--workload", "shift", "--requests", "1200",
-            "--adaptive", "--epochs", "3", "--json",
+            "adapt", "--grid", "4", "--chunks", "4", "--capacity", "2",
+            "--workload", "shift", "--epochs", "3",
+            "--epoch-requests", "400", "--json",
         ])
         assert status == 0
         doc = json.loads(capsys.readouterr().out)

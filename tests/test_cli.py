@@ -87,7 +87,7 @@ class TestMain:
         assert "chunk 0" in out
 
     def test_solve_random_hopc(self, capsys):
-        assert main(["solve", "--random", "15", "--seed", "3",
+        assert main(["solve", "--nodes", "15", "--seed", "3",
                      "--chunks", "1", "--algorithm", "hopc"]) == 0
         assert "Hopc" in capsys.readouterr().out
 
@@ -105,7 +105,7 @@ class TestShowMap:
         assert "*" in out
 
     def test_map_requires_grid(self, capsys):
-        assert main(["solve", "--random", "12", "--chunks", "1",
+        assert main(["solve", "--nodes", "12", "--chunks", "1",
                      "--show-map"]) == 0
         assert "--show-map requires" in capsys.readouterr().out
 
@@ -235,7 +235,7 @@ class TestTraceExport:
         import json
 
         trace_path = tmp_path / "trace.json"
-        assert main(["solve", "--random", "20", "--chunks", "1",
+        assert main(["solve", "--nodes", "20", "--chunks", "1",
                      "--algorithm", "dist", "--trace", str(trace_path)]) == 0
         doc = json.loads(trace_path.read_text())
         events = doc["traceEvents"]
@@ -285,13 +285,23 @@ class TestInputErrors:
         ["serve", "--grid", "0"],
         ["serve", "--nodes", "1"],
         ["solve", "--grid", "0"],
-        ["solve", "--random", "1"],
+        ["solve", "--nodes", "1"],
         ["adapt", "--nodes", "1"],
         ["adapt", "--grid", "4", "--rate", "-2"],
         ["adapt", "--grid", "4", "--epoch-requests", "0"],
         ["sweep", "--requests", "10", "--rate", "-1"],
-        ["serve", "--grid", "4", "--requests", "5", "--epochs", "10",
-         "--adaptive", "hybrid"],
+        ["serve", "--grid", "3", "--workload", "bogus"],
+        ["adapt", "--grid", "4", "--policy", "bogus"],
+        ["solve", "--grid", "4", "--loss-rate", "0.1"],
+        ["solve", "--grid", "4", "--algorithm", "dist", "--churn",
+         "1:99:leave"],
+        ["bench", "--repeats", "0"],
+        ["bench", "--quick", "--nodes", "30"],
+        ["monitor", "x", "--interval", "0"],
+        ["sweep", "--seeds", "a"],
+        ["adapt", "--grid", "4", "--churn", "x"],
+        ["adapt", "--grid", "3", "--workload", "uniform", "--shift-period",
+         "3"],
     ], ids=" ".join)
     def test_exits_2_with_one_line(self, argv, tmp_path, monkeypatch,
                                    capsys):
@@ -305,8 +315,18 @@ class TestInputErrors:
         assert list(tmp_path.iterdir()) == []
 
     def test_adaptive_serves_when_requests_cover_epochs(self, capsys):
-        assert main(["serve", "--grid", "4", "--chunks", "2",
-                     "--requests", "10", "--epochs", "10", "--adaptive",
+        assert main(["adapt", "--grid", "4", "--chunks", "2",
+                     "--epoch-requests", "1", "--epochs", "10",
                      "--json"]) == 0
         out = capsys.readouterr().out
         assert '"epoch_requests": 1' in out
+
+    def test_serve_adaptive_flag_removed(self, capsys):
+        # `repro adapt` is the one CLI route into the control loop;
+        # serve's --adaptive/--epochs/--epoch-requests are argparse errors.
+        for flag in (["--adaptive"], ["--epochs", "3"],
+                     ["--epoch-requests", "100"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--grid", "4"] + flag)
+            assert exc.value.code == 2
+            assert flag[0] in capsys.readouterr().err

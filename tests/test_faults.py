@@ -70,7 +70,7 @@ class TestNoOpContract:
     def test_legacy_loss_stream_byte_identical(self, golden):
         """loss_rate alone replays the historical RNG stream exactly."""
         snapshot = _snapshot(
-            grid_problem(6), DistributedConfig(loss_rate=0.2, loss_seed=7)
+            grid_problem(6), DistributedConfig(loss_rate=0.2, fault_seed=7)
         )
         assert _canon(snapshot) == _canon(golden["grid6_loss"])
 
@@ -315,7 +315,7 @@ class TestFaultStats:
 
     def test_legacy_loss_outcome_reports_drops(self):
         outcome = solve_distributed(
-            grid_problem(5), DistributedConfig(loss_rate=0.3, loss_seed=3)
+            grid_problem(5), DistributedConfig(loss_rate=0.3, fault_seed=3)
         )
         report = outcome.faults
         assert report is not None

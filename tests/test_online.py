@@ -11,7 +11,9 @@ from repro.online import (
     OnlineFairCache,
     expire,
     generate_workload,
+    make_room,
     publish,
+    replica_counts,
     solve_online,
 )
 from repro.workloads import grid_problem
@@ -180,12 +182,12 @@ class TestReplacement:
 
     def test_most_replicated_prefers_redundant(self):
         cache, next_chunk = self._saturate(MostReplicated())
-        replicas_before = cache._replica_counts()
+        replicas_before = replica_counts(cache.state)
         most_replicated = max(replicas_before, key=replicas_before.get)
         cache.process(publish(100.0, 99))
         assert cache.trace.evictions > 0
         assert cache.trace.placements[99].caches
-        replicas_after = cache._replica_counts()
+        replicas_after = replica_counts(cache.state)
         assert (
             replicas_after.get(most_replicated, 0)
             <= replicas_before[most_replicated]
@@ -202,7 +204,7 @@ class TestReplacement:
 
 
 class TestMakeRoomBookkeeping:
-    """Regression: ``_make_room`` used ``replicas.get(victim, 1) - 1``,
+    """Regression: ``make_room`` used ``replicas.get(victim, 1) - 1``,
     which silently invented a count of 1 for a victim that was never in
     the replica census — masking a buggy policy and allowing negative
     counts."""
@@ -226,6 +228,13 @@ class TestMakeRoomBookkeeping:
             assert chunk < 50, "network failed to saturate"
         return cache
 
+    @staticmethod
+    def _make_room(cache, replicas=None):
+        """One room-making round over the cache's live state."""
+        return make_room(
+            cache.state, cache.policy, cache._publish_seq, replicas=replicas
+        )
+
     class _PhantomVictim:
         """A broken policy returning a chunk the node does not hold."""
 
@@ -244,7 +253,7 @@ class TestMakeRoomBookkeeping:
         # hold (CapacityError) before the census is ever touched.
         cache = self._saturated_cache(self._PhantomVictim())
         with pytest.raises(ProblemError):
-            cache._make_room()
+            self._make_room(cache)
 
     def test_negative_census_caught_under_sanitize(self, monkeypatch):
         """A victim missing from the census must raise, not default to 1.
@@ -259,15 +268,14 @@ class TestMakeRoomBookkeeping:
         cache = self._saturated_cache(OldestFirst())
         # Simulate census drift: the counts map omits every chunk even
         # though the nodes still hold them.
-        monkeypatch.setattr(cache, "_replica_counts", lambda: {})
         with pytest.raises(InvariantError):
-            cache._make_room()
+            self._make_room(cache, replicas={})
 
     def test_multi_node_eviction_counts_stay_nonnegative(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         cache = self._saturated_cache(OldestFirst())
-        freed = cache._make_room()
+        freed = self._make_room(cache)
         assert freed > 0
         # The census recomputed from storage must agree with non-negative
         # bookkeeping: no chunk can have negative copies.
-        assert all(v >= 0 for v in cache._replica_counts().values())
+        assert all(v >= 0 for v in replica_counts(cache.state).values())

@@ -16,13 +16,12 @@ from repro.sweep import (
     SWEEP_SCHEMA,
     SweepGrid,
     aggregate_cells,
-    parse_topology,
     render_sweep,
     resolve_workers,
     run_sweep,
     write_sweep,
 )
-from repro.workloads import grid_problem
+from repro.workloads import grid_problem, parse_topology
 from repro.core.approximation import solve_approximation
 from tests.serve_reference import reference_serve
 
